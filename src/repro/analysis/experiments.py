@@ -117,7 +117,7 @@ def _run_table1(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
 
 
 def _run_table2(
-    scale: str = "quick", seed: int = 2016, ecc_backend: str = "scalar"
+    scale: str = "quick", seed: int = 2016, ecc_backend: str = "batched"
 ) -> ExperimentReport:
     samples = 20_000 if scale == "quick" else 200_000
     report = detection_table(
@@ -175,7 +175,7 @@ def _reliability_config(
     seed: int,
     scaling_rate: float = 0.0,
     triple: bool = False,
-    ecc_backend: str = "scalar",
+    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> MonteCarloConfig:
     if triple:
@@ -194,7 +194,7 @@ def _reliability_config(
 def _run_fig1(
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "scalar",
+    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     cfg = _reliability_config(
@@ -262,7 +262,7 @@ def _run_fig7(
     scale: str = "quick",
     seed: int = 2016,
     scaling_rate: float = 0.0,
-    ecc_backend: str = "scalar",
+    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     cfg = _reliability_config(
@@ -297,7 +297,7 @@ def _run_fig7(
 def _run_fig8(
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "scalar",
+    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     return _run_fig7(
@@ -310,7 +310,7 @@ def _run_fig9(
     scale: str = "quick",
     seed: int = 2016,
     scaling_rate: float = 0.0,
-    ecc_backend: str = "scalar",
+    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     cfg = _reliability_config(
@@ -346,7 +346,7 @@ def _run_fig9(
 def _run_fig10(
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "scalar",
+    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     return _run_fig9(
@@ -546,7 +546,7 @@ def run_experiment(
     experiment_id: str,
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "scalar",
+    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
     perfsim_backend: str = "scalar",
 ) -> ExperimentReport:
@@ -595,7 +595,7 @@ def reproduce_all(
     scale: str = "quick",
     seed: int = 2016,
     experiment_ids: Optional[List[str]] = None,
-    ecc_backend: str = "scalar",
+    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
     perfsim_backend: str = "scalar",
 ) -> Dict[str, ExperimentReport]:

@@ -109,15 +109,15 @@ def _positive_int(value: str) -> int:
 def _add_ecc_backend_flag(parser: argparse.ArgumentParser) -> None:
     """Attach ``--ecc-backend`` to sub-commands that evaluate ECC codes.
 
-    ``batched`` routes codec work through the numpy bit-matrix kernels
-    of :mod:`repro.ecc.batched` (>= 10x faster on the Table II sweep);
-    ``scalar`` is the per-word golden model.  The two are verified
-    bit-identical by :mod:`repro.ecc.differential`.
+    ``batched`` (the default) routes codec work through the numpy
+    bit-matrix kernels of :mod:`repro.ecc.batched` (>= 10x faster on
+    the Table II sweep); ``scalar`` is the per-word golden model.  The
+    two are verified bit-identical by :mod:`repro.ecc.differential`.
     """
     parser.add_argument(
-        "--ecc-backend", choices=("scalar", "batched"), default="scalar",
-        help="ECC codec backend: per-word golden model (scalar, default) "
-             "or numpy bit-matrix kernels (batched)",
+        "--ecc-backend", choices=("scalar", "batched"), default="batched",
+        help="ECC codec backend: numpy bit-matrix kernels (batched, "
+             "default) or per-word golden model (scalar)",
     )
 
 

@@ -24,18 +24,18 @@ Every rate function takes ``backend="scalar"|"batched"``.  The scalar
 backend walks patterns through the per-word ``is_codeword`` check; the
 batched backend evaluates whole position batches through the bit-matrix
 kernels of :mod:`repro.ecc.batched` (>= 10x the codewords/sec -- see
-docs/performance.md).  Exhaustive pattern spaces produce identical
-rates under either backend; Monte-Carlo sampled spaces draw from a
-backend-specific (but seed-deterministic) stream, so sampled estimates
-agree in distribution rather than digit-for-digit.  Backend codec
-*outcomes* on identical patterns are always bit-identical -- that is
-enforced by :mod:`repro.ecc.differential`.
+docs/performance.md).  The backend only picks which codec evaluates
+the positions: exhaustive spaces are enumerated in one order, and
+Monte-Carlo sampled spaces are drawn once from one seeded numpy
+sampler, so every rate -- and the whole Table II -- is bit-identical
+under either backend by construction.  Backend codec *outcomes* on
+identical patterns are enforced bit-identical by
+:mod:`repro.ecc.differential`.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence
 
@@ -69,26 +69,14 @@ def aligned_burst_patterns(n: int, errors: int, lane: int = 8) -> Iterator[int]:
             yield pattern
 
 
-def _random_patterns(
-    n: int, errors: int, samples: int, rng: random.Random
-) -> Iterator[int]:
-    positions = list(range(n))
-    for _ in range(samples):
-        pattern = 0
-        for bit in rng.sample(positions, errors):
-            pattern |= 1 << bit
-        yield pattern
-
-
 def _random_position_batch(
     n: int, errors: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``(samples, errors)`` distinct flipped-bit positions per row.
 
     Rejection-resamples rows containing duplicates, which conditions the
-    iid uniform draws on distinctness -- each accepted row is a uniform
-    random ``errors``-subset, the same distribution the scalar sampler's
-    ``random.sample`` produces.
+    iid uniform draws on distinctness, so each accepted row is a uniform
+    random ``errors``-subset.  Both backends consume these rows.
     """
     positions = rng.integers(0, n, size=(samples, errors), dtype=np.int64)
     # Only the freshly drawn rows need re-checking each round.
@@ -104,7 +92,7 @@ def _random_position_batch(
     return positions
 
 
-def _detection_fraction(code: SECDEDCode, patterns: Iterable[int]) -> tuple[int, int]:
+def _detection_rate(code: SECDEDCode, patterns: Iterable[int]) -> float:
     detected = 0
     total = 0
     for pattern in patterns:
@@ -113,7 +101,7 @@ def _detection_fraction(code: SECDEDCode, patterns: Iterable[int]) -> tuple[int,
             detected += 1
     if total == 0:
         raise ValueError("no error patterns supplied")
-    return detected, total
+    return detected / total
 
 
 def detection_rate_random(
@@ -128,40 +116,40 @@ def detection_rate_random(
 
     Uses exhaustive enumeration when the pattern space is small enough
     (e.g. all C(72,2) = 2556 double errors), otherwise Monte-Carlo
-    sampling with a fixed seed.  ``backend="batched"`` evaluates whole
-    position batches through the bit-matrix kernels; exhaustive spaces
-    give identical rates to the scalar backend, sampled spaces use a
-    numpy draw stream (still deterministic for a given seed).
+    sampling of ``samples`` position rows from
+    ``np.random.default_rng(seed)``.  Both backends evaluate the same
+    rows, so the rate does not depend on ``backend``.
     """
     validate_backend(backend)
     n = code.n
     space = 1
     for i in range(errors):
         space = space * (n - i) // (i + 1)
-    exhaustive = space <= exhaustive_limit
-    if backend == "batched":
-        if exhaustive:
-            positions = np.fromiter(
-                itertools.chain.from_iterable(
-                    itertools.combinations(range(n), errors)
-                ),
-                dtype=np.int64,
-                count=space * errors,
-            ).reshape(space, errors)
-        else:
-            positions = _random_position_batch(
-                n, errors, samples, np.random.default_rng(seed)
-            )
-        syndromes = code.batched().syndromes_of_error_positions(positions)
-        return float((syndromes != 0).sum()) / len(positions)
-    if exhaustive:
-        patterns: Iterable[int] = (
-            _combo_to_pattern(c) for c in itertools.combinations(range(n), errors)
-        )
+    if space <= exhaustive_limit:
+        positions = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.combinations(range(n), errors)
+            ),
+            dtype=np.int64,
+            count=space * errors,
+        ).reshape(space, errors)
     else:
-        patterns = _random_patterns(n, errors, samples, random.Random(seed))
-    detected, total = _detection_fraction(code, patterns)
-    return detected / total
+        positions = _random_position_batch(
+            n, errors, samples, np.random.default_rng(seed)
+        )
+    return _positions_detection_rate(code, positions, backend)
+
+
+def _positions_detection_rate(
+    code: SECDEDCode, positions: np.ndarray, backend: str
+) -> float:
+    """Detected share of the error-position rows on ``backend``'s codec."""
+    if backend == "scalar":
+        return _detection_rate(
+            code, (_combo_to_pattern(row) for row in positions.tolist())
+        )
+    syndromes = code.batched().syndromes_of_error_positions(positions)
+    return float((syndromes != 0).sum()) / len(positions)
 
 
 def _combo_to_pattern(combo: Sequence[int]) -> int:
@@ -203,16 +191,14 @@ def detection_rate_burst(
             positions = starts[:, None] + np.arange(errors, dtype=np.int64)
         else:
             raise ValueError(f"unknown burst mode {mode!r}")
-        syndromes = code.batched().syndromes_of_error_positions(positions)
-        return float((syndromes != 0).sum()) / len(positions)
+        return _positions_detection_rate(code, positions, backend)
     if mode == "aligned":
         patterns: Iterable[int] = aligned_burst_patterns(code.n, errors)
     elif mode == "contiguous":
         patterns = contiguous_burst_patterns(code.n, errors)
     else:
         raise ValueError(f"unknown burst mode {mode!r}")
-    detected, total = _detection_fraction(code, patterns)
-    return detected / total
+    return _detection_rate(code, patterns)
 
 
 @dataclass

@@ -184,7 +184,10 @@ class EccDimmScheme(ProtectionScheme):
     (SDC).  By default the DUE/SDC split is *measured* from the actual
     (72,64) Hamming decoder against chip-lane error patterns
     (:func:`repro.ecc.miscorrection.hamming_chip_error_sdc_fraction`,
-    ~44% SDC); pass ``sdc_fraction`` to override.
+    ~44% SDC); pass ``sdc_fraction`` to override.  The measurement runs
+    in :meth:`bind_ecc_backend`, which the Monte-Carlo driver calls
+    before shard fan-out, so pickled copies sent to pool workers carry
+    the resolved value; an unbound scheme measures on first access.
     """
 
     name = "ECC-DIMM (SECDED)"
@@ -198,9 +201,15 @@ class EccDimmScheme(ProtectionScheme):
         ecc_backend: str = "scalar",
     ) -> None:
         self._explicit_fraction = sdc_fraction is not None
-        if sdc_fraction is None:
-            sdc_fraction = self._measure_sdc_fraction(ecc_backend)
-        self.sdc_fraction = sdc_fraction
+        self._sdc_fraction = sdc_fraction
+        self._ecc_backend = ecc_backend
+
+    @property
+    def sdc_fraction(self) -> float:
+        """Share of visible-fault failures that are SDC rather than DUE."""
+        if self._sdc_fraction is None:
+            self._sdc_fraction = self._measure_sdc_fraction(self._ecc_backend)
+        return self._sdc_fraction
 
     @staticmethod
     def _measure_sdc_fraction(backend: str) -> float:
@@ -209,7 +218,7 @@ class EccDimmScheme(ProtectionScheme):
         return hamming_chip_error_sdc_fraction(backend=backend)
 
     def bind_ecc_backend(self, backend: str) -> None:
-        """Re-measure the DUE/SDC split through the selected backend.
+        """Measure the DUE/SDC split through the selected backend.
 
         An explicitly supplied ``sdc_fraction`` is an override and is
         left untouched (both backends measure the identical sample set
@@ -217,7 +226,7 @@ class EccDimmScheme(ProtectionScheme):
         """
         super().bind_ecc_backend(backend)
         if not self._explicit_fraction:
-            self.sdc_fraction = self._measure_sdc_fraction(backend)
+            self._sdc_fraction = self._measure_sdc_fraction(backend)
 
     def evaluate(self, faults, rng):
         """SECDED corrects 1-bit damage; wider damage is DUE/SDC."""

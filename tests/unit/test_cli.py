@@ -262,9 +262,9 @@ class TestRuntimeFlags:
 
 
 class TestEccBackendFlag:
-    def test_default_is_scalar(self):
+    def test_default_is_batched(self):
         args = build_parser().parse_args(["experiment", "table2"])
-        assert args.ecc_backend == "scalar"
+        assert args.ecc_backend == "batched"
 
     def test_choices_validated(self):
         with pytest.raises(SystemExit):

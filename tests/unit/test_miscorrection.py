@@ -1,8 +1,10 @@
 """Unit tests for the SECDED miscorrection profiling."""
 
+import pickle
+
 import pytest
 
-from repro.ecc import CRC8ATMCode, HammingSECDED
+from repro.ecc import CRC8ATMCode, HammingSECDED, miscorrection
 from repro.ecc.miscorrection import (
     MiscorrectionProfile,
     hamming_chip_error_sdc_fraction,
@@ -55,6 +57,42 @@ class TestSchemeIntegration:
 
     def test_override_still_supported(self):
         assert EccDimmScheme(sdc_fraction=0.1).sdc_fraction == 0.1
+
+    @pytest.fixture
+    def measure_calls(self, monkeypatch):
+        """Count lane-profile measurements, with the fraction cache empty."""
+        calls = []
+        real = miscorrection.measure_lane_error_profile
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("backend"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            miscorrection, "measure_lane_error_profile", counting
+        )
+        hamming_chip_error_sdc_fraction.cache_clear()
+        yield calls
+        hamming_chip_error_sdc_fraction.cache_clear()
+
+    def test_constructor_does_not_measure(self, measure_calls):
+        EccDimmScheme()
+        assert measure_calls == []
+
+    def test_bind_measures_through_selected_backend(self, measure_calls):
+        EccDimmScheme().bind_ecc_backend("batched")
+        assert measure_calls == ["batched"]
+
+    def test_pickled_bound_scheme_carries_fraction(self, measure_calls):
+        """Pool workers get a resolved fraction and never re-measure."""
+        scheme = EccDimmScheme()
+        scheme.bind_ecc_backend("batched")
+        payload = pickle.dumps(scheme)
+        hamming_chip_error_sdc_fraction.cache_clear()
+        measure_calls.clear()
+        restored = pickle.loads(payload)
+        assert restored.sdc_fraction == scheme.sdc_fraction
+        assert measure_calls == []
 
 
 class TestBackendEquality:

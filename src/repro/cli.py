@@ -291,32 +291,22 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_runtime_policy(args: argparse.Namespace):
-    """Translate parsed runtime flags into a RuntimePolicy (or None).
+    """Translate parsed runtime flags into the run's RuntimePolicy.
 
-    Returns ``None`` when no fault-tolerance flag was used (or the
-    sub-command has none), which keeps the engines on their legacy fast
-    path -- the hardened executor is strictly opt-in.
+    Every sharded engine runs on the resilient executor, so a policy is
+    always returned; the flags only tune it (with none given -- or on a
+    sub-command without them -- it carries the executor defaults).
     """
-    checkpoint = getattr(args, "checkpoint", None)
-    resume = getattr(args, "resume", None)
-    shard_timeout = getattr(args, "shard_timeout", None)
-    max_retries = getattr(args, "max_retries", None)
-    keep_going = getattr(args, "keep_going", False)
-    chaos = getattr(args, "chaos", None)
-    if not any(
-        (checkpoint, resume, shard_timeout is not None,
-         max_retries is not None, keep_going, chaos)
-    ):
-        return None
     from repro.runtime import RuntimePolicy
 
+    max_retries = getattr(args, "max_retries", None)
     return RuntimePolicy(
-        checkpoint_dir=checkpoint,
-        resume_dir=resume,
-        shard_timeout_s=shard_timeout,
+        checkpoint_dir=getattr(args, "checkpoint", None),
+        resume_dir=getattr(args, "resume", None),
+        shard_timeout_s=getattr(args, "shard_timeout", None),
         max_retries=3 if max_retries is None else max_retries,
-        keep_going=keep_going,
-        chaos=chaos,
+        keep_going=getattr(args, "keep_going", False),
+        chaos=getattr(args, "chaos", None),
     )
 
 
@@ -762,28 +752,23 @@ def _provenance(args: argparse.Namespace) -> dict:
     """Provenance block written next to exported artifacts.
 
     Records how the numbers were produced -- code version, seed, scale,
-    backend -- plus, when a fault-tolerance policy is active, the
-    outcome of every underlying run (completeness, retries, resumed and
-    quarantined shards), so partial ``--keep-going`` artifacts are
-    self-describing.
+    backend -- plus the outcome of every underlying sharded run
+    (completeness, retries, resumed and quarantined shards), so partial
+    ``--keep-going`` artifacts are self-describing.
     """
-    from repro.runtime import current_policy
+    from repro.runtime import RuntimePolicy, current_policy
 
-    policy = current_policy()
-    prov: dict = {
+    policy = current_policy() or RuntimePolicy()
+    return {
         "code_version": __version__,
         "seed": getattr(args, "seed", None),
         "scale": getattr(args, "scale", None),
         "ecc_backend": getattr(args, "ecc_backend", None),
         "faultsim_backend": getattr(args, "faultsim_backend", None),
         "perfsim_backend": getattr(args, "perfsim_backend", None),
-        "complete": True,
-        "runs": [],
+        "complete": policy.quarantined_total == 0,
+        "runs": [outcome.to_dict() for outcome in policy.outcomes],
     }
-    if policy is not None:
-        prov["complete"] = policy.quarantined_total == 0
-        prov["runs"] = [outcome.to_dict() for outcome in policy.outcomes]
-    return prov
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
@@ -1067,7 +1052,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # every worker's shard span is reachable from this one.
             with span(f"repro.{args.command}"):
                 code = _dispatch(args)
-        if policy is not None and policy.quarantined_total and code == EXIT_OK:
+        if policy.quarantined_total and code == EXIT_OK:
             quarantined = policy.quarantined_total
             completeness = policy.worst_completeness
             print(
@@ -1079,7 +1064,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code = EXIT_PARTIAL
     except RunInterrupted as exc:
         print(f"repro: {exc}", file=sys.stderr)
-        if policy is not None and policy.storage_dir:
+        if policy.storage_dir:
             print(
                 "repro: progress checkpointed; resume with:\n  "
                 + _resume_command(raw_argv, policy.storage_dir),
@@ -1088,7 +1073,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = EXIT_INTERRUPTED
     except ShardFailure as exc:
         print(f"repro: {exc}", file=sys.stderr)
-        if policy is not None and policy.storage_dir:
+        if policy.storage_dir:
             print(
                 "repro: completed shards are checkpointed; after fixing "
                 "the cause, resume with:\n  "

@@ -30,19 +30,19 @@ from repro.faultsim.injector import FaultSampler
 from repro.faultsim.parallel import (
     plan_shards,
     resolve_shard_size,
-    run_sharded,
     select_shard_args,
 )
 from repro.faultsim.schemes import FailureKind, ProtectionScheme
 from repro.faultsim.vectorized import (
     adjudicate_shard,
+    kernel_for,
     system_rng,
     validate_faultsim_backend,
 )
 from repro.obs import OBS, events, get_logger, span
 from repro.obs.progress import progress
 from repro.runtime.checkpoint import RunFingerprint, config_digest
-from repro.runtime.executor import RuntimePolicy, current_policy, run_resilient
+from repro.runtime.executor import RuntimePolicy, run_resilient
 from repro.version import __version__
 
 log = get_logger("faultsim.simulator")
@@ -447,12 +447,13 @@ def simulate(
     ``batch_systems`` is the pre-sharding name of ``shard_size`` and is
     honoured as an alias when ``shard_size`` is not given.
 
+    Shards always run on :func:`repro.runtime.run_resilient`.
     ``runtime`` (or the ambient policy installed by
     :func:`repro.runtime.use_policy`, e.g. by the CLI's
-    ``--checkpoint``/``--resume``/``--shard-timeout`` flags) routes
-    execution through the fault-tolerant executor: checkpointing,
-    resume, retry with backoff, timeouts and signal draining.  With no
-    policy the legacy fast path runs unchanged.
+    ``--checkpoint``/``--resume``/``--shard-timeout`` flags) tunes it:
+    checkpointing, resume, retry with backoff, timeouts and signal
+    draining.  With no policy the defaults apply, so a shard that keeps
+    raising ends in :class:`repro.runtime.ShardFailure`.
 
     With ``config.faultsim_backend == "analytical"`` no sampling
     happens at all: the call returns the closed-form
@@ -468,6 +469,8 @@ def simulate(
         from repro.faultsim.markov import solve
 
         return solve(scheme, config)
+    if config.faultsim_backend == "vectorized":
+        kernel_for(scheme)  # a bad scheme fails here, not once per retry
     # Bind before shard fan-out so workers receive the bound scheme.
     scheme.bind_ecc_backend(config.ecc_backend)
     shard_size = resolve_shard_size(
@@ -482,7 +485,6 @@ def simulate(
         for i, (start, count) in enumerate(shards)
     ]
 
-    policy = runtime if runtime is not None else current_policy()
     started = perf_counter()
     reporter = progress(config.num_systems, f"reliability {scheme.name}")
 
@@ -502,26 +504,18 @@ def simulate(
             systems=config.num_systems,
             workers=workers,
         ):
-            if policy is not None:
-                shard_results, _outcome = run_resilient(
-                    _simulate_shard,
-                    shard_args,
-                    workers=workers,
-                    fingerprint=reliability_fingerprint(
-                        scheme, config, shard_size
-                    ),
-                    policy=policy,
-                    encode=lambda r: r.to_payload(),
-                    decode=ReliabilityResult.from_payload,
-                    on_shard_done=_shard_done,
-                )
-            else:
-                shard_results = run_sharded(
-                    _simulate_shard,
-                    shard_args,
-                    workers=workers,
-                    on_shard_done=_shard_done,
-                )
+            shard_results, _outcome = run_resilient(
+                _simulate_shard,
+                shard_args,
+                workers=workers,
+                fingerprint=reliability_fingerprint(
+                    scheme, config, shard_size
+                ),
+                policy=runtime,
+                encode=lambda r: r.to_payload(),
+                decode=ReliabilityResult.from_payload,
+                on_shard_done=_shard_done,
+            )
     finally:
         reporter.close()
 
@@ -584,9 +578,11 @@ def simulate_shard_range(
     the single-machine run.
 
     Returns ``{global_shard_index: ReliabilityResult}`` for the indices
-    that completed.  With a ``runtime`` policy, failed shards follow its
-    retry/quarantine contract (quarantined indices are simply absent
-    from the returned dict -- the coordinator decides their fate).
+    that completed.  Failed shards follow the retry/quarantine contract
+    of ``runtime`` (default: a fresh ``RuntimePolicy()``, never the
+    ambient one, whose checkpoint would be keyed to the full plan);
+    quarantined indices are simply absent from the returned dict --
+    the coordinator decides their fate.
     """
     config = config or MonteCarloConfig()
     validate_faultsim_backend(config.faultsim_backend)
@@ -607,23 +603,20 @@ def simulate_shard_range(
     ]
     indices = list(indices)
     selected = select_shard_args(full_args, indices)
-    if runtime is not None:
-        results, outcome = run_resilient(
-            _simulate_shard,
-            selected,
-            workers=workers,
-            fingerprint=reliability_fingerprint(scheme, config, shard_size),
-            policy=runtime,
-            encode=lambda r: r.to_payload(),
-            decode=ReliabilityResult.from_payload,
-        )
-        # The executor omits quarantined shards from its plan-ordered
-        # list, so realign by the local indices that survived.
-        quarantined = set(outcome.quarantined_shards)
-        kept = [i for i in range(len(selected)) if i not in quarantined]
-        return {indices[local]: result for local, result in zip(kept, results)}
-    results = run_sharded(_simulate_shard, selected, workers=workers)
-    return dict(zip(indices, results))
+    results, outcome = run_resilient(
+        _simulate_shard,
+        selected,
+        workers=workers,
+        fingerprint=reliability_fingerprint(scheme, config, shard_size),
+        policy=runtime or RuntimePolicy(),
+        encode=lambda r: r.to_payload(),
+        decode=ReliabilityResult.from_payload,
+    )
+    # The executor omits quarantined shards from its plan-ordered
+    # list, so realign by the local indices that survived.
+    quarantined = set(outcome.quarantined_shards)
+    kept = [i for i in range(len(selected)) if i not in quarantined]
+    return {indices[local]: result for local, result in zip(kept, results)}
 
 
 def simulate_many(

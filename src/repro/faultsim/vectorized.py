@@ -663,6 +663,21 @@ _KERNELS: Dict[Type[ProtectionScheme], _Kernel] = {
 }
 
 
+def kernel_for(scheme: ProtectionScheme) -> _Kernel:
+    """The vectorized kernel for ``scheme``'s exact type.
+
+    Raises :class:`UnsupportedSchemeError` for scheme types without a
+    registered kernel (e.g. user-defined subclasses).
+    """
+    kernel = _KERNELS.get(type(scheme))
+    if kernel is None:
+        raise UnsupportedSchemeError(
+            f"no vectorized kernel for scheme type "
+            f"{type(scheme).__name__}; use faultsim_backend='scalar'"
+        )
+    return kernel
+
+
 def adjudicate_shard(
     scheme: ProtectionScheme, shard: FaultShard, experiment_seed: int
 ) -> ShardAdjudication:
@@ -671,15 +686,10 @@ def adjudicate_shard(
     Returns the failed systems -- global indices, first-failure times
     and DUE/SDC kinds -- in system order, bit-identical to running
     ``scheme.evaluate`` over the scalar materialisation of the same
-    shard.  Raises :class:`UnsupportedSchemeError` for scheme types
-    without a registered kernel (e.g. user-defined subclasses).
+    shard.  Raises :class:`UnsupportedSchemeError` (via
+    :func:`kernel_for`) for scheme types without a registered kernel.
     """
-    kernel = _KERNELS.get(type(scheme))
-    if kernel is None:
-        raise UnsupportedSchemeError(
-            f"no vectorized kernel for scheme type "
-            f"{type(scheme).__name__}; use faultsim_backend='scalar'"
-        )
+    kernel = kernel_for(scheme)
     vis = shard.visible()
     if OBS.enabled:
         OBS.registry.counter("faultsim.vectorized.shards").inc()

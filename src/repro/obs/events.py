@@ -312,6 +312,10 @@ class ReplayedEvent(TraceEvent):
         return dict(self.payload)
 
 
+#: Pseudo-record kind carrying a shipped ring's eviction count.
+_DROPPED_MARKER = "trace_dropped"
+
+
 class EventTrace:
     """Bounded ring buffer of ``(timestamp, event)`` pairs.
 
@@ -343,9 +347,14 @@ class EventTrace:
 
         Worker timestamps are preserved, so a merged trace still
         correlates with external logs; capacity/eviction accounting
-        applies as if the events had been recorded natively.
+        applies as if the events had been recorded natively, and a
+        ``trace_dropped`` marker (:meth:`delta_records`) adds the
+        source ring's own evictions to :attr:`dropped`.
         """
         for record in records:
+            if record.get("event") == _DROPPED_MARKER:
+                self.dropped += int(record.get("count", 0))
+                continue
             ts = float(record.get("ts", 0.0))
             self.record_at(ts, ReplayedEvent(record))
 
@@ -376,6 +385,18 @@ class EventTrace:
             record = event.to_dict()
             record["ts"] = ts
             records.append(record)
+        return records
+
+    def delta_records(self) -> List[Dict[str, object]]:
+        """:meth:`to_records` for shipping a shard's delta to a parent.
+
+        When this ring evicted events, a leading ``trace_dropped``
+        marker carries the count, so :meth:`merge_records` on the
+        receiving side still accounts for every recorded event.
+        """
+        records = self.to_records()
+        if self.dropped:
+            records.insert(0, {"event": _DROPPED_MARKER, "count": self.dropped})
         return records
 
     def to_jsonl(self) -> str:

@@ -30,9 +30,8 @@ from repro.perfsim.engine import (
 from repro.perfsim.power import PowerBreakdown, PowerModel
 from repro.perfsim.timing import SystemTiming
 from repro.perfsim.workloads import WORKLOADS, Workload, workload_by_name
-from repro.faultsim.parallel import run_sharded, validate_workers
 from repro.runtime.checkpoint import RunFingerprint, config_digest
-from repro.runtime.executor import RuntimePolicy, current_policy, run_resilient
+from repro.runtime.executor import RuntimePolicy, run_resilient
 from repro.version import __version__
 
 
@@ -182,16 +181,15 @@ def run_suite(
 ) -> Dict[str, Dict[str, BenchmarkRun]]:
     """Run a grid: {workload: {scheme_key: BenchmarkRun}}.
 
-    Cells fan out one per shard on the PR-2 pool (``workers``), with
-    results assembled in plan order so the grid is identical for any
-    worker count.  ``runtime`` (or the ambient policy installed by
-    :func:`repro.runtime.use_policy`) routes cells through the
-    fault-tolerant executor: per-cell checkpoints, resume, retry and
-    quarantine.  ``backend`` selects the engine per cell
-    (``scalar``/``pipeline``; results are bit-identical).
+    Cells fan out one per shard on :func:`repro.runtime.run_resilient`
+    (``workers`` processes), with results assembled in plan order so
+    the grid is identical for any worker count.  ``runtime`` (or the
+    ambient policy installed by :func:`repro.runtime.use_policy`)
+    tunes it: per-cell checkpoints, resume, retry and quarantine.
+    ``backend`` selects the engine per cell (``scalar``/``pipeline``;
+    results are bit-identical).
     """
     validate_perfsim_backend(backend)
-    workers = validate_workers(workers)
     workloads = list(workloads) if workloads is not None else list(WORKLOADS)
     system = system or SystemTiming()
     cells: List[Tuple[Workload, str]] = [
@@ -201,7 +199,6 @@ def run_suite(
         (workload, key, system, instructions_per_core, seed, backend)
         for workload, key in cells
     ]
-    policy = runtime if runtime is not None else current_policy()
     reporter = progress(len(cells), "perf grid")
 
     def _cell_done(_i: int) -> None:
@@ -214,27 +211,19 @@ def run_suite(
             workers=workers,
             cells=len(cells),
         ):
-            if policy is not None:
-                runs, _outcome = run_resilient(
-                    _suite_cell,
-                    shard_args,
-                    workers=workers,
-                    fingerprint=suite_fingerprint(
-                        scheme_keys, workloads, instructions_per_core,
-                        seed, system,
-                    ),
-                    policy=policy,
-                    encode=lambda r: r.to_payload(),
-                    decode=BenchmarkRun.from_payload,
-                    on_shard_done=_cell_done,
-                )
-            else:
-                runs = run_sharded(
-                    _suite_cell,
-                    shard_args,
-                    workers=workers,
-                    on_shard_done=_cell_done,
-                )
+            runs, _outcome = run_resilient(
+                _suite_cell,
+                shard_args,
+                workers=workers,
+                fingerprint=suite_fingerprint(
+                    scheme_keys, workloads, instructions_per_core,
+                    seed, system,
+                ),
+                policy=runtime,
+                encode=lambda r: r.to_payload(),
+                decode=BenchmarkRun.from_payload,
+                on_shard_done=_cell_done,
+            )
     finally:
         reporter.close()
 

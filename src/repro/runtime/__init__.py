@@ -8,8 +8,9 @@ progress.  This package wraps them in a hardened execution layer --
   atomically-replaced checkpoint files keyed by a run-identity
   fingerprint, so an interrupted campaign resumes from exactly the
   shards it finished.
-* :mod:`repro.runtime.executor` -- :func:`run_resilient`, the retrying,
-  timeout-enforcing, signal-draining executor, plus the ambient
+* :mod:`repro.runtime.executor` -- :func:`run_resilient`, the one
+  shard executor every engine runs on (retrying, timeout-enforcing,
+  signal-draining), plus the ambient
   :class:`RuntimePolicy` the CLI installs via :func:`use_policy`.
 * :mod:`repro.runtime.chaos` -- deterministic failure injection
   (worker crashes, hangs, checkpoint corruption, and protocol-layer

@@ -49,7 +49,12 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+
+from repro.obs import OBS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (executor imports us)
+    from repro.runtime.executor import RunOutcome, RuntimePolicy
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -64,6 +69,7 @@ __all__ = [
     "IncrementalCheckpointReader",
     "config_digest",
     "load_checkpoint",
+    "open_checkpoint",
 ]
 
 #: On-disk format version; bumped on incompatible layout changes.
@@ -575,14 +581,50 @@ class CheckpointStore:
         self._appendable = True
 
 
+def open_checkpoint(
+    policy: "RuntimePolicy",
+    fingerprint: RunFingerprint,
+    outcome: "RunOutcome",
+) -> Tuple[Optional[CheckpointStore], Dict[int, ShardRecord]]:
+    """Create or resume a run's checkpoint as ``policy`` asks.
+
+    Returns ``(store, records)``: ``store`` is ``None`` when the policy
+    does not persist; ``records`` holds the resumed shards inside the
+    plan, by index.  Fills the checkpoint fields of ``outcome`` and
+    counts ``runtime.shards_resumed``/``runtime.checkpoint_discarded``
+    -- the one resume routine of the executor and the coordinator.
+    """
+    path = policy.checkpoint_path_for(fingerprint)
+    if path is None:
+        return None, {}
+    outcome.checkpoint_path = str(path)
+    if policy.resume_dir is None or not path.exists():
+        return CheckpointStore.create(path, fingerprint), {}
+    store = CheckpointStore.resume(path, fingerprint)
+    records = {
+        index: store.completed[index]
+        for index in sorted(store.completed)
+        if 0 <= index < outcome.total_shards
+    }
+    outcome.discarded_records = store.discarded
+    outcome.resumed_shards = len(records)
+    if OBS.enabled:
+        OBS.registry.counter("runtime.shards_resumed").inc(len(records))
+        if store.discarded:
+            OBS.registry.counter("runtime.checkpoint_discarded").inc(
+                store.discarded
+            )
+    return store, records
+
+
 @dataclass(frozen=True)
 class ShardLease:
-    """A bounded grant of shard indices to one distributed worker.
+    """A bounded grant of shard indices to one worker.
 
     ``attempts`` carries the per-shard attempt number (1-based,
-    parallel to ``shards``) so workers key deterministic chaos
-    injection on ``(global shard index, attempt)`` exactly like the
-    in-process executor.  ``deadline`` is a coordinator-clock instant;
+    parallel to ``shards``) so every worker, local or remote, keys
+    deterministic chaos injection on ``(global shard index,
+    attempt)``.  ``deadline`` is a coordinator-clock instant;
     a lease not fully accounted for by then is expired and its
     unfinished shards requeued.
     """
@@ -604,24 +646,26 @@ class ShardLease:
 
 
 class LeaseBook:
-    """Deterministic shard-lease ledger for the distributed coordinator.
+    """Deterministic shard-lease ledger behind every shard scheduler.
 
     Tracks every shard index of a run through the lease lifecycle::
 
         pending -> leased -> completed
                       |          ^
-                      v          |   (retry with the executor's
-                   failed --------    exponential backoff + jitter)
+                      v          |   (retry with exponential
+                   failed --------    backoff + seeded jitter)
                       |
                       v
                 quarantined (``keep_going``) / abort
 
-    The book is pure bookkeeping -- no I/O, no clock reads of its own
-    (an injectable ``clock`` makes expiry testable) -- and entirely
-    deterministic: grants hand out the lowest ready shard indices in
-    order, retry delays reuse :mod:`repro.runtime.executor`'s seeded
-    backoff formula, so two coordinators fed the same failure sequence
-    make identical scheduling decisions.
+    :func:`repro.runtime.executor.run_resilient` drives it with
+    one-shard leases, :class:`repro.runtime.distributed.Coordinator`
+    with multi-shard leases to remote workers.  The book is pure
+    bookkeeping -- no I/O, no clock reads of its own (an injectable
+    ``clock`` makes expiry testable) -- and entirely deterministic:
+    grants hand out the lowest ready shard indices in order and retry
+    delays come from one seeded formula (:meth:`backoff_delay`), so two
+    schedulers fed the same failures make identical decisions.
     """
 
     def __init__(
@@ -690,8 +734,8 @@ class LeaseBook:
 
     # -- lease lifecycle ----------------------------------------------------
 
-    def _backoff_delay(self, index: int, failure_count: int) -> float:
-        """The executor's exponential backoff + deterministic jitter."""
+    def backoff_delay(self, index: int, failure_count: int) -> float:
+        """Exponential backoff with deterministic jitter before a retry."""
         base = self.backoff_base_s * (2.0 ** max(0, failure_count - 1))
         delay = min(self.backoff_cap_s, base)
         rng = random.Random((self.seed << 24) ^ (index << 8) ^ failure_count)
@@ -706,9 +750,12 @@ class LeaseBook:
         should wait for a backoff window or for active leases).
         """
         now = self.clock()
-        ready = [
-            i for i in self._pending if self.retry_at.get(i, 0.0) <= now
-        ][: self.lease_shards]
+        ready: List[int] = []
+        for i in self._pending:
+            if self.retry_at.get(i, 0.0) <= now:
+                ready.append(i)
+                if len(ready) == self.lease_shards:
+                    break
         if not ready:
             return None
         for i in ready:
@@ -744,8 +791,11 @@ class LeaseBook:
             return False
         self.completed.add(index)
         self.retry_at.pop(index, None)
+        leased = index in self._lease_of
         self._detach(index)
-        if index in self._pending:  # completed while queued for retry
+        # A leased shard is never also queued, so only a stale result
+        # (completed while queued for retry) needs the O(n) queue scan.
+        if not leased and index in self._pending:
             self._pending.remove(index)
         return True
 
@@ -773,7 +823,7 @@ class LeaseBook:
                     self.quarantined.append(index)
                 return "quarantine"
             return "abort"
-        self.retry_at[index] = self.clock() + self._backoff_delay(index, count)
+        self.retry_at[index] = self.clock() + self.backoff_delay(index, count)
         if index not in self._pending:
             self._pending.append(index)
             self._pending.sort()
@@ -808,6 +858,17 @@ class LeaseBook:
         indices = tuple(sorted(self._outstanding.pop(lease_id, ())))
         for i in indices:
             self._lease_of.pop(i, None)
+        return indices
+
+    def requeue(self, lease_id: int) -> Tuple[int, ...]:
+        """Return a lease's unfinished shards to the queue, uncharged.
+
+        For bystanders torn down with a pool killed to reclaim a hung
+        worker: no failure is counted, so the attempt number is kept.
+        """
+        indices = self.release(lease_id)
+        self._pending.extend(i for i in indices if i not in self._pending)
+        self._pending.sort()
         return indices
 
     def next_ready_in(self, now: Optional[float] = None) -> Optional[float]:

@@ -58,6 +58,7 @@ from repro.runtime.checkpoint import (
     RunFingerprint,
     ShardLease,
     ShardRecord,
+    open_checkpoint,
     _parse_shard_line,
 )
 from repro.runtime.executor import (
@@ -65,6 +66,7 @@ from repro.runtime.executor import (
     RunOutcome,
     RuntimePolicy,
     ShardFailure,
+    _charge_failure,
     _SignalGuard,
 )
 from repro.runtime.protocol import (
@@ -231,10 +233,10 @@ class Coordinator:
     """Serve one experiment's shard plan to remote workers as leases.
 
     The coordinator is the distributed twin of the resilient executor:
-    :class:`~repro.runtime.checkpoint.LeaseBook` replaces the local
-    retry queue, worker connections replace the process pool, and the
-    same checkpoint file / :class:`RunOutcome` / exit-code contract
-    applies, so ``repro coordinate`` composes with ``--resume``,
+    both drive a :class:`~repro.runtime.checkpoint.LeaseBook` (here
+    with multi-shard leases), worker connections replace the process
+    pool, and the same checkpoint file / :class:`RunOutcome` /
+    exit-code contract applies, so ``repro coordinate`` composes with ``--resume``,
     ``--keep-going`` and the provenance export unchanged.
 
     The listening socket binds in the constructor, so :attr:`address`
@@ -303,28 +305,12 @@ class Coordinator:
 
     def _open_book(self) -> None:
         """Create/resume the checkpoint and seed the lease ledger."""
-        path = self.policy.checkpoint_path_for(self.fingerprint)
-        completed: List[int] = []
-        if path is not None:
-            if self.policy.resume_dir is not None and path.exists():
-                self._store = CheckpointStore.resume(path, self.fingerprint)
-                self.outcome.discarded_records = self._store.discarded
-                total = self.outcome.total_shards
-                for index, record in self._store.completed.items():
-                    if 0 <= index < total:
-                        self._records[index] = record
-                        completed.append(index)
-                self.outcome.resumed_shards = len(completed)
-                # Mirror run_resilient: resumed shards count as
-                # completed, so completeness reflects the whole plan.
-                self.outcome.completed_shards = len(completed)
-                if OBS.enabled and completed:
-                    OBS.registry.counter("runtime.shards_resumed").inc(
-                        len(completed)
-                    )
-            else:
-                self._store = CheckpointStore.create(path, self.fingerprint)
-            self.outcome.checkpoint_path = str(path)
+        self._store, self._records = open_checkpoint(
+            self.policy, self.fingerprint, self.outcome
+        )
+        # Mirror run_resilient: resumed shards count as completed, so
+        # completeness reflects the whole plan.
+        self.outcome.completed_shards = len(self._records)
         self._book = LeaseBook(
             self.outcome.total_shards,
             seed=self.fingerprint.seed,
@@ -334,15 +320,12 @@ class Coordinator:
             keep_going=self.policy.keep_going,
             backoff_base_s=self.policy.backoff_base_s,
             backoff_cap_s=self.policy.backoff_cap_s,
-            completed=completed,
+            completed=list(self._records),
         )
 
     def _on_signal(self, name: str) -> None:
         """First SIGINT/SIGTERM: stop granting and drain to checkpoint."""
         self._stop_signal = name
-        if OBS.enabled:
-            OBS.registry.counter("runtime.interrupts").inc()
-            OBS.trace.record(events.RunSignalled(name))
         log.warning("received %s: draining distributed run", name)
 
     async def _serve(self) -> None:
@@ -652,14 +635,7 @@ class Coordinator:
                 )
             )
         for index in indices:
-            if reason == "timeout":
-                self.outcome.timeouts += 1
-                if OBS.enabled:
-                    OBS.registry.counter("runtime.shard_timeouts").inc()
-            else:
-                self.outcome.crashes += 1
-                if OBS.enabled:
-                    OBS.registry.counter("runtime.worker_crashes").inc()
+            _charge_failure(self.outcome, reason)
             self._fail_shard(index, reason)
         self._close_lease_span(lease.lease_id, reason)
 
@@ -1039,5 +1015,5 @@ def _execute_lease(
     done: Dict[str, object] = {"type": "lease_done", "lease_id": lease_id}
     if obs_enabled:
         done["metrics"] = OBS.registry.state()
-        done["trace"] = OBS.trace.to_records()
+        done["trace"] = OBS.trace.delta_records()
     send_message(sock, done)

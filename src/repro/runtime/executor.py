@@ -1,8 +1,11 @@
-"""The fault-tolerant shard executor (retry, timeout, resume, drain).
+"""The shard executor (retry, timeout, resume, drain).
 
-:func:`run_resilient` is the hardened sibling of
-:func:`repro.faultsim.parallel.run_sharded`: it executes the same
-deterministic shard plan, but survives the failure modes that kill a
+:func:`run_resilient` is the one local executor every sharded engine
+runs on (Monte-Carlo reliability, behavioural campaigns, the perfsim
+grid).  It executes a deterministic shard plan in-process
+(``workers=1``) or on a process pool, keeps its books in the same
+:class:`~repro.runtime.checkpoint.LeaseBook` the distributed
+coordinator uses, and survives the failure modes that kill a
 multi-hour campaign in practice --
 
 * **Worker crashes** (OOM kill, segfault, ``os._exit``) surface as
@@ -36,23 +39,28 @@ preserves bit-identical merged results -- the property the chaos suite
 from __future__ import annotations
 
 import math
-import random
 import signal
 import threading
 import time
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import OBS, events
 from repro.obs.events import EventTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceContext, current_context, shard_span
 from repro.runtime.chaos import ChaosCrash, ChaosHang, ChaosPolicy
-from repro.runtime.checkpoint import CheckpointStore, RunFingerprint, ShardRecord
+from repro.runtime.checkpoint import (
+    CheckpointStore,
+    LeaseBook,
+    RunFingerprint,
+    ShardLease,
+    open_checkpoint,
+)
 
 __all__ = [
     "RuntimePolicy",
@@ -66,6 +74,13 @@ __all__ = [
 
 #: Granularity of interruptible sleeps / future polling, seconds.
 _POLL_S = 0.05
+
+#: Failure reason -> (counter metric, :class:`RunOutcome` field) it bumps.
+_FAILURE_ACCOUNTS = {
+    "timeout": ("runtime.shard_timeouts", "timeouts"),
+    "crash": ("runtime.worker_crashes", "crashes"),
+    "fault": ("runtime.shard_faults", "faults"),
+}
 
 
 class ShardFailure(RuntimeError):
@@ -218,30 +233,26 @@ class RuntimePolicy:
         return min(o.completeness for o in self.outcomes)
 
 
-#: Ambient policy installed by :func:`use_policy` (None = legacy path).
+#: Ambient policy installed by :func:`use_policy`; with ``None``,
+#: :func:`run_resilient` builds a fresh ``RuntimePolicy()`` per run.
 _AMBIENT: List[Optional[RuntimePolicy]] = [None]
 
 
-class use_policy:
-    """Context manager installing an ambient :class:`RuntimePolicy`.
+@contextmanager
+def use_policy(policy: Optional[RuntimePolicy]) -> Iterator[Optional[RuntimePolicy]]:
+    """Install an ambient :class:`RuntimePolicy` for the ``with`` block.
 
-    Engines resolve their runtime policy as ``explicit argument or
-    ambient or None``; the CLI wraps a whole command in ``use_policy``
-    so nested experiment runners (which call :func:`simulate` many
-    levels down) inherit the checkpoint/retry flags without threading a
-    parameter through every signature.
+    :func:`run_resilient` resolves its policy as ``explicit argument or
+    ambient or a fresh RuntimePolicy()``; the CLI wraps a whole command
+    in ``use_policy`` so nested experiment runners (which call
+    :func:`simulate` many levels down) inherit the checkpoint/retry
+    flags without threading a parameter through every signature.
+    Yields the policy; the previously ambient one is restored on exit.
     """
-
-    def __init__(self, policy: Optional[RuntimePolicy]) -> None:
-        self.policy = policy
-
-    def __enter__(self) -> Optional[RuntimePolicy]:
-        """Install the policy; returns it for convenience."""
-        _AMBIENT.append(self.policy)
-        return self.policy
-
-    def __exit__(self, *exc_info: object) -> None:
-        """Restore the previously ambient policy."""
+    _AMBIENT.append(policy)
+    try:
+        yield policy
+    finally:
         _AMBIENT.pop()
 
 
@@ -261,16 +272,19 @@ def _run_shard_captured(
     index: int = 0,
     attempt: int = 1,
 ) -> Tuple[Any, Optional[Dict], Optional[List[Dict]]]:
-    """Run one shard in-process, capturing its obs delta in isolation.
+    """Run one shard, capturing its obs delta in isolation.
 
-    Mirrors what a pool worker does: the shard runs against a fresh
-    registry/trace and returns its delta, so (a) checkpoints carry
-    exactly this shard's telemetry and (b) a failed attempt's partial
-    metrics are discarded rather than double-counted on retry -- the
-    same all-or-nothing semantics as a crashed worker process.  The
-    shard's :func:`~repro.obs.tracing.shard_span` opens inside the
-    captured delta so only successful attempts contribute spans --
-    exactly like a pool worker, whose delta dies with it on failure.
+    Both execution paths (in-process and pool worker) run every shard
+    through here: the shard runs against a fresh registry/trace and
+    returns its delta, so (a) checkpoints carry exactly this shard's
+    telemetry and (b) a failed attempt's partial metrics are discarded
+    rather than double-counted on retry -- the same all-or-nothing
+    semantics as a crashed worker process.  The shard's
+    :func:`~repro.obs.tracing.shard_span` opens inside the captured
+    delta so only successful attempts contribute spans.  The delta's
+    trace records carry the capture ring's eviction count
+    (:meth:`~repro.obs.events.EventTrace.delta_records`), so a small
+    ring loses no drop accounting when it is folded.
     """
     if not OBS.enabled:
         return shard_fn(*args), None, None
@@ -280,19 +294,21 @@ def _run_shard_captured(
     try:
         with shard_span(ctx, index, attempt=attempt):
             result = shard_fn(*args)
-        return result, OBS.registry.state(), OBS.trace.to_records()
+        return result, OBS.registry.state(), OBS.trace.delta_records()
     finally:
         OBS.registry, OBS.trace = saved_registry, saved_trace
 
 
-def _resilient_worker(payload: Tuple) -> Tuple[int, Any, Optional[Dict], Optional[List[Dict]]]:
+def _resilient_worker(payload: Tuple) -> Tuple[Any, Optional[Dict], Optional[List[Dict]]]:
     """Pool entry point: run one shard (after any chaos injection).
 
-    Mirrors ``parallel._run_worker_payload`` but additionally knows the
-    shard's plan index and attempt number so a :class:`ChaosPolicy` can
-    target "shard 3, first attempt" deterministically, and the attempt
-    number is encoded into the shard span's ID (``s<i>a<n>``) so
-    retried executions are distinguishable in the trace tree.
+    The worker's observability mirrors the parent's ``enabled`` flag
+    at dispatch time, and the shard's delta is captured exactly as
+    in-process (:func:`_run_shard_captured`).  The plan index and
+    attempt number let a :class:`ChaosPolicy` target "shard 3, first
+    attempt" deterministically, and the attempt number is encoded into
+    the shard span's ID (``s<i>a<n>``) so retried executions are
+    distinguishable in the trace tree.
     """
     index, attempt, shard_fn, args, obs_enabled, chaos, ctx = payload
     if chaos is not None:
@@ -300,11 +316,15 @@ def _resilient_worker(payload: Tuple) -> Tuple[int, Any, Optional[Dict], Optiona
     OBS.reset()
     OBS.enabled = obs_enabled
     OBS.progress_enabled = False
-    with shard_span(ctx, index, attempt=attempt):
-        result = shard_fn(*args)
-    if obs_enabled:
-        return index, result, OBS.registry.state(), OBS.trace.to_records()
-    return index, result, None, None
+    return _run_shard_captured(shard_fn, args, ctx, index, attempt)
+
+
+def _charge_failure(outcome: RunOutcome, reason: str) -> None:
+    """Count one failed attempt on ``outcome`` and its ``runtime.*`` metric."""
+    metric, field_name = _FAILURE_ACCOUNTS[reason]
+    setattr(outcome, field_name, getattr(outcome, field_name) + 1)
+    if OBS.enabled:
+        OBS.registry.counter(metric).inc()
 
 
 def _terminate_executor(executor: ProcessPoolExecutor) -> None:
@@ -329,8 +349,9 @@ def _terminate_executor(executor: ProcessPoolExecutor) -> None:
 class _SignalGuard:
     """Installs drain-and-flush SIGINT/SIGTERM handlers around a run.
 
-    The first signal invokes ``on_signal(name)`` (the executor stops
-    dispatching and drains); a second signal raises
+    The first signal is counted (``runtime.interrupts`` and a
+    ``run_signalled`` event) and invokes ``on_signal(name)`` (the
+    scheduler stops dispatching and drains); a second signal raises
     ``KeyboardInterrupt`` for an immediate abort.  Handlers are only
     installed in the main thread (Python forbids otherwise) and always
     restored on exit.
@@ -359,6 +380,9 @@ class _SignalGuard:
             name = signal.Signals(signum).name
         except ValueError:  # pragma: no cover - unknown signal number
             name = str(signum)
+        if OBS.enabled:
+            OBS.registry.counter("runtime.interrupts").inc()
+            OBS.trace.record(events.RunSignalled(name))
         self._on_signal(name)
 
     def __exit__(self, *exc_info: object) -> None:
@@ -372,7 +396,14 @@ class _SignalGuard:
 # ---------------------------------------------------------------------------
 
 class _ResilientRun:
-    """State machine for one :func:`run_resilient` invocation."""
+    """One :func:`run_resilient` invocation, booked on a :class:`LeaseBook`.
+
+    Every shard moves through the book as a one-shard lease: a grant
+    is an attempt, a fault or crash is :meth:`LeaseBook.fail` (retry
+    behind the book's backoff, quarantine, or abort), a deadline miss
+    is :meth:`LeaseBook.expire`, and shards torn down with a killed
+    pool go back through :meth:`LeaseBook.requeue` uncharged.
+    """
 
     def __init__(
         self,
@@ -387,7 +418,7 @@ class _ResilientRun:
     ) -> None:
         self.shard_fn = shard_fn
         self.shard_args = [tuple(args) for args in shard_args]
-        self.workers = max(1, int(workers))
+        self.workers = workers
         self.fingerprint = fingerprint
         self.policy = policy
         self.encode = encode
@@ -402,98 +433,39 @@ class _ResilientRun:
         self.trace_ctx = current_context()
         self.results: Dict[int, Any] = {}
         self.telemetry: Dict[int, Tuple[Optional[Dict], Optional[List[Dict]]]] = {}
-        self.failures: Dict[int, int] = {}
-        self.quarantined: List[int] = []
         self.store: Optional[CheckpointStore] = None
+        self.book: Optional[LeaseBook] = None
         self.stop_signal: Optional[str] = None
-
-    # -- checkpoint plumbing ------------------------------------------------
-
-    def _open_store(self) -> List[int]:
-        """Create/resume the checkpoint; returns replayed shard indices."""
-        path = self.policy.checkpoint_path_for(self.fingerprint)
-        if path is None:
-            return []
-        replayed: List[int] = []
-        if self.policy.resume_dir is not None and path.exists():
-            self.store = CheckpointStore.resume(path, self.fingerprint)
-            self.outcome.discarded_records = self.store.discarded
-            for index in sorted(self.store.completed):
-                if not 0 <= index < len(self.shard_args):
-                    continue
-                record: ShardRecord = self.store.completed[index]
-                self.results[index] = self.decode(record.payload)
-                self.telemetry[index] = (record.metrics, record.trace)
-                replayed.append(index)
-            if OBS.enabled:
-                OBS.registry.counter("runtime.shards_resumed").inc(
-                    len(replayed)
-                )
-                if self.store.discarded:
-                    OBS.registry.counter(
-                        "runtime.checkpoint_discarded"
-                    ).inc(self.store.discarded)
-        else:
-            self.store = CheckpointStore.create(path, self.fingerprint)
-        self.outcome.checkpoint_path = str(path)
-        return replayed
 
     # -- bookkeeping --------------------------------------------------------
 
     def _on_signal(self, name: str) -> None:
         self.stop_signal = name
-        if OBS.enabled:
-            OBS.registry.counter("runtime.interrupts").inc()
-            OBS.trace.record(events.RunSignalled(name))
 
     @property
     def _stopping(self) -> bool:
         return self.stop_signal is not None
 
-    def _count_attempt(self) -> None:
+    def _grant(self) -> Optional[Tuple[ShardLease, int, int]]:
+        """Lease the next ready shard: ``(lease, index, attempt)``."""
+        lease = self.book.grant("local")
+        if lease is None:
+            return None
         if OBS.enabled:
             OBS.registry.counter("runtime.shard_attempts").inc()
+        return lease, lease.shards[0], lease.attempts[0]
 
-    def _backoff_delay(self, index: int, failure_count: int) -> float:
-        """Exponential backoff with deterministic jitter for a retry."""
-        base = self.policy.backoff_base_s * (2.0 ** max(0, failure_count - 1))
-        delay = min(self.policy.backoff_cap_s, base)
-        rng = random.Random(
-            (self.fingerprint.seed << 24) ^ (index << 8) ^ failure_count
-        )
-        return delay * (1.0 + 0.25 * rng.random())
+    def _fail(self, index: int, reason: str) -> None:
+        """Account one failed attempt and let the book decide its fate.
 
-    def _register_failure(self, index: int, reason: str) -> Optional[float]:
-        """Account one failed attempt; returns the retry delay.
-
-        Returns ``None`` when the shard was quarantined instead
-        (``keep_going``); raises :class:`ShardFailure` when the budget
-        is exhausted without ``keep_going``.
+        Raises :class:`ShardFailure` when the retry budget is exhausted
+        without ``keep_going``; otherwise the shard is either queued
+        behind its backoff window or quarantined.
         """
-        self.failures[index] = self.failures.get(index, 0) + 1
-        count = self.failures[index]
-        if OBS.enabled:
-            if reason == "timeout":
-                OBS.registry.counter("runtime.shard_timeouts").inc()
-            elif reason == "crash":
-                OBS.registry.counter("runtime.worker_crashes").inc()
-            else:
-                OBS.registry.counter("runtime.shard_faults").inc()
-        if reason == "timeout":
-            self.outcome.timeouts += 1
-        elif reason == "crash":
-            self.outcome.crashes += 1
-        else:
-            self.outcome.faults += 1
-        if count > self.policy.max_retries:
-            if self.policy.keep_going:
-                self.quarantined.append(index)
-                if OBS.enabled:
-                    OBS.registry.counter("runtime.shards_quarantined").inc()
-                    OBS.trace.record(
-                        events.ShardQuarantined(index, count, reason)
-                    )
-                return None
+        _charge_failure(self.outcome, reason)
+        action = self.book.fail(index, reason)
+        count = self.book.failures[index]
+        if action == "abort":
             raise ShardFailure(
                 f"shard {index} failed {count} time(s) ({reason}) and "
                 f"--max-retries={self.policy.max_retries} is exhausted",
@@ -501,22 +473,34 @@ class _ResilientRun:
                 reason=reason,
                 checkpoint_path=self.outcome.checkpoint_path,
             )
-        delay = self._backoff_delay(index, count)
+        if action == "quarantine":
+            if OBS.enabled:
+                OBS.registry.counter("runtime.shards_quarantined").inc()
+                OBS.trace.record(events.ShardQuarantined(index, count, reason))
+            return
         self.outcome.retries += 1
         if OBS.enabled:
             OBS.registry.counter("runtime.shard_retries").inc()
-            OBS.trace.record(events.ShardRetried(index, count, reason, delay))
+            OBS.trace.record(
+                events.ShardRetried(
+                    index, count, reason, self.book.backoff_delay(index, count)
+                )
+            )
         if self.policy.on_shard_retry is not None:
             self.policy.on_shard_retry(index, count, reason)
-        return delay
 
     def _complete(self, index: int, result: Any, metrics, trace) -> None:
+        self.book.complete(index)
         self.results[index] = result
         self.telemetry[index] = (metrics, trace)
         if self.store is not None:
             self.store.add(index, self.encode(result), metrics, trace)
             if OBS.enabled:
                 OBS.registry.counter("runtime.checkpoint_writes").inc()
+        self._notify_done(index)
+
+    def _notify_done(self, index: int) -> None:
+        """Fire the progress hooks for a completed or resumed shard."""
         if self.on_shard_done is not None:
             self.on_shard_done(index)
         if self.policy.on_shard_complete is not None:
@@ -524,9 +508,9 @@ class _ResilientRun:
                 index, len(self.results), self.outcome.total_shards
             )
 
-    def _sleep(self, seconds: float) -> None:
-        """Interruptible sleep (wakes early when a signal arrived)."""
-        deadline = time.monotonic() + seconds
+    def _wait_for_backoff(self) -> None:
+        """Interruptible sleep until the book's next retry is ready."""
+        deadline = time.monotonic() + (self.book.next_ready_in() or 0.0)
         while not self._stopping:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -535,110 +519,97 @@ class _ResilientRun:
 
     # -- in-process execution (workers == 1) --------------------------------
 
-    def _run_inproc(self, pending: List[int]) -> None:
+    def _run_inproc(self) -> None:
         chaos = self.policy.chaos
-        for index in pending:
-            while not self._stopping:
-                attempt = self.failures.get(index, 0) + 1
-                self._count_attempt()
-                try:
-                    if chaos is not None:
-                        chaos.apply_in_process(index, attempt)
-                    result, metrics, trace = _run_shard_captured(
-                        self.shard_fn,
-                        self.shard_args[index],
-                        ctx=self.trace_ctx,
-                        index=index,
-                        attempt=attempt,
-                    )
-                except ChaosHang:
-                    delay = self._register_failure(index, "timeout")
-                except ChaosCrash:
-                    delay = self._register_failure(index, "crash")
-                except Exception:
-                    delay = self._register_failure(index, "fault")
-                else:
-                    self._complete(index, result, metrics, trace)
-                    break
-                if delay is None:
-                    break  # quarantined
-                self._sleep(delay)
+        while not self._stopping and not self.book.done:
+            granted = self._grant()
+            if granted is None:
+                self._wait_for_backoff()
+                continue
+            _lease, index, attempt = granted
+            try:
+                if chaos is not None:
+                    chaos.apply_in_process(index, attempt)
+                result, metrics, trace = _run_shard_captured(
+                    self.shard_fn,
+                    self.shard_args[index],
+                    ctx=self.trace_ctx,
+                    index=index,
+                    attempt=attempt,
+                )
+            except ChaosHang:
+                self._fail(index, "timeout")
+            except ChaosCrash:
+                self._fail(index, "crash")
+            except Exception:
+                self._fail(index, "fault")
+            else:
+                self._complete(index, result, metrics, trace)
 
     # -- pool execution (workers > 1) ---------------------------------------
 
-    def _submit(self, executor: ProcessPoolExecutor, index: int):
-        attempt = self.failures.get(index, 0) + 1
-        self._count_attempt()
-        future = executor.submit(
-            _resilient_worker,
-            (
-                index,
-                attempt,
-                self.shard_fn,
-                self.shard_args[index],
-                OBS.enabled,
-                self.policy.chaos,
-                self.trace_ctx,
-            ),
-        )
-        timeout = self.policy.shard_timeout_s
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else math.inf
-        )
-        return future, deadline
-
-    def _run_pool(self, pending: List[int]) -> None:
+    def _run_pool(self) -> None:
         from repro.faultsim.parallel import pool_context
 
         context = pool_context()
-        processes = min(self.workers, max(1, len(pending)))
-        queue = deque(pending)
-        retry_at: Dict[int, float] = {}
-        inflight: Dict[Any, Tuple[int, float]] = {}
+        processes = min(self.workers, max(1, self.book.pending_count))
+        inflight: Dict[Any, ShardLease] = {}
         executor: Optional[ProcessPoolExecutor] = None
+
+        def kill_pool(charge: Optional[str] = None) -> None:
+            # Every in-flight shard dies with the pool: each is charged
+            # a ``charge`` failure or, with None, requeued uncharged.
+            nonlocal executor
+            for lease in list(inflight.values()):
+                if charge is None:
+                    self.book.requeue(lease.lease_id)
+                else:
+                    self._fail(lease.shards[0], charge)
+            inflight.clear()
+            if executor is not None:
+                _terminate_executor(executor)
+                executor = None
+
         try:
-            while queue or retry_at or inflight:
-                now = time.monotonic()
-                for index, ready in sorted(retry_at.items()):
-                    if ready <= now:
-                        del retry_at[index]
-                        queue.append(index)
-                if self._stopping:
-                    queue.clear()
-                    retry_at.clear()
-                    if not inflight:
+            while not self.book.done:
+                if self._stopping and not inflight:
+                    break
+                while not self._stopping and len(inflight) < processes:
+                    granted = self._grant()
+                    if granted is None:
                         break
-                while queue and len(inflight) < processes:
+                    lease, index, attempt = granted
                     if executor is None:
                         executor = ProcessPoolExecutor(
                             max_workers=processes, mp_context=context
                         )
-                    index = queue.popleft()
                     try:
-                        future, deadline = self._submit(executor, index)
+                        future = executor.submit(
+                            _resilient_worker,
+                            (
+                                index,
+                                attempt,
+                                self.shard_fn,
+                                self.shard_args[index],
+                                OBS.enabled,
+                                self.policy.chaos,
+                                self.trace_ctx,
+                            ),
+                        )
                     except BrokenProcessPool:
                         # A worker died between wait() rounds and the
                         # pool noticed before we resubmitted.  Charge a
                         # crash to this shard and everything in flight
                         # (their futures are doomed with the pool),
                         # then rebuild on the next pass.
-                        self._retry_or_quarantine(index, "crash", retry_at)
-                        for _f, (i, _d) in list(inflight.items()):
-                            self._retry_or_quarantine(i, "crash", retry_at)
-                        inflight.clear()
-                        _terminate_executor(executor)
-                        executor = None
+                        self._fail(index, "crash")
+                        kill_pool("crash")
                         break
-                    inflight[future] = (index, deadline)
+                    inflight[future] = lease
                 if not inflight:
-                    if not retry_at:
-                        break
-                    self._sleep(
-                        max(0.0, min(retry_at.values()) - time.monotonic())
-                        or _POLL_S
-                    )
+                    self._wait_for_backoff()
                     continue
-                next_deadline = min(d for _, d in inflight.values())
+                next_deadline = min(l.deadline for l in inflight.values())
                 wait_s = min(
                     max(0.0, next_deadline - time.monotonic()), _POLL_S * 2
                 )
@@ -647,86 +618,71 @@ class _ResilientRun:
                 )
                 pool_broken = False
                 for future in done:
-                    index, _deadline = inflight.pop(future)
+                    index = inflight.pop(future).shards[0]
                     try:
-                        _idx, result, metrics, trace = future.result()
+                        result, metrics, trace = future.result()
                     except BrokenProcessPool:
                         pool_broken = True
-                        self._retry_or_quarantine(index, "crash", retry_at)
+                        self._fail(index, "crash")
                     except Exception:
-                        self._retry_or_quarantine(index, "fault", retry_at)
+                        self._fail(index, "fault")
                     else:
                         self._complete(index, result, metrics, trace)
                 if pool_broken:
                     # Every other in-flight future is doomed with the
                     # pool; they also count a crash failure (we cannot
                     # know which worker died) and get rescheduled.
-                    for future, (index, _deadline) in list(inflight.items()):
-                        self._retry_or_quarantine(index, "crash", retry_at)
-                    inflight.clear()
-                    if executor is not None:
-                        _terminate_executor(executor)
-                        executor = None
+                    kill_pool("crash")
                     continue
-                now = time.monotonic()
-                timed_out = [
-                    future
-                    for future, (_index, deadline) in inflight.items()
-                    if deadline <= now
-                ]
-                if timed_out:
+                hung = {lease.lease_id for lease, _ in self.book.expire()}
+                if hung:
                     # Killing the pool is the only way to reclaim a hung
                     # worker; innocent in-flight shards are re-queued
                     # with no failure charged.
-                    for future in timed_out:
-                        index, _deadline = inflight.pop(future)
-                        self._retry_or_quarantine(index, "timeout", retry_at)
-                    for future, (index, _deadline) in list(inflight.items()):
-                        queue.appendleft(index)
-                    inflight.clear()
-                    if executor is not None:
-                        _terminate_executor(executor)
-                        executor = None
+                    for future, lease in list(inflight.items()):
+                        if lease.lease_id in hung:
+                            del inflight[future]
+                            self._fail(lease.shards[0], "timeout")
+                    kill_pool()
         finally:
-            if executor is not None:
-                _terminate_executor(executor)
-
-    def _retry_or_quarantine(
-        self, index: int, reason: str, retry_at: Dict[int, float]
-    ) -> None:
-        delay = self._register_failure(index, reason)
-        if delay is not None and not self._stopping:
-            retry_at[index] = time.monotonic() + delay
+            kill_pool()
 
     # -- driver -------------------------------------------------------------
 
     def run(self) -> Tuple[List[Any], RunOutcome]:
         """Execute the plan; returns (plan-ordered results, outcome)."""
-        replayed = self._open_store()
-        self.outcome.resumed_shards = len(replayed)
-        for position, index in enumerate(replayed):
-            if self.on_shard_done is not None:
-                self.on_shard_done(index)
-            if self.policy.on_shard_complete is not None:
-                self.policy.on_shard_complete(
-                    index, position + 1, self.outcome.total_shards
-                )
-        pending = [
-            i for i in range(len(self.shard_args)) if i not in self.results
-        ]
+        self.store, replayed = open_checkpoint(
+            self.policy, self.fingerprint, self.outcome
+        )
+        for index, record in replayed.items():
+            self.results[index] = self.decode(record.payload)
+            self.telemetry[index] = (record.metrics, record.trace)
+            self._notify_done(index)
+        timeout = self.policy.shard_timeout_s
+        self.book = LeaseBook(
+            len(self.shard_args),
+            seed=self.fingerprint.seed,
+            lease_shards=1,
+            lease_timeout_s=math.inf if timeout is None else timeout,
+            max_retries=self.policy.max_retries,
+            keep_going=self.policy.keep_going,
+            backoff_base_s=self.policy.backoff_base_s,
+            backoff_cap_s=self.policy.backoff_cap_s,
+            completed=list(replayed),
+        )
         error: Optional[ShardFailure] = None
         with _SignalGuard(self._on_signal):
             try:
                 if self.workers == 1:
-                    self._run_inproc(pending)
+                    self._run_inproc()
                 else:
-                    self._run_pool(pending)
+                    self._run_pool()
             except ShardFailure as exc:
                 error = exc
             finally:
                 self._fold_telemetry()
         self.outcome.completed_shards = len(self.results)
-        self.outcome.quarantined_shards = tuple(sorted(self.quarantined))
+        self.outcome.quarantined_shards = tuple(sorted(self.book.quarantined))
         self.outcome.interrupted = self._stopping and error is None
         self.outcome.signal_name = self.stop_signal
         if OBS.enabled and self.store is not None:
@@ -776,27 +732,36 @@ def run_resilient(
     *,
     workers: int,
     fingerprint: RunFingerprint,
-    policy: RuntimePolicy,
+    policy: Optional[RuntimePolicy] = None,
     encode: Callable[[Any], Dict],
     decode: Callable[[Dict], Any],
     on_shard_done: Optional[Callable[[int], None]] = None,
 ) -> Tuple[List[Any], RunOutcome]:
-    """Run a shard plan under a fault-tolerance policy.
+    """Run ``shard_fn(*args)`` for every entry of ``shard_args``.
 
-    Drop-in upgrade of :func:`repro.faultsim.parallel.run_sharded`:
-    same plan-order result list (minus any quarantined shards -- check
-    the returned :class:`RunOutcome`), plus checkpoint/resume, retry
-    with backoff, per-shard timeouts, quarantine and signal draining as
-    configured on ``policy``.  ``encode``/``decode`` convert a shard
-    result to/from its JSON checkpoint payload and must round-trip
-    bit-identically (that property is what makes resume exact).
+    ``workers=1`` runs the shards in-process, more workers on a process
+    pool.  Results come back **in plan order** (minus any quarantined
+    shards -- see the returned :class:`RunOutcome`), and each shard's
+    obs delta is folded in plan order, so results, metrics and the
+    trace tree are identical for any worker count.
+    ``on_shard_done(shard_index)`` fires after every completed or
+    resumed shard.  ``policy`` (default: the ambient one, else a fresh
+    ``RuntimePolicy()``) sets checkpoint/resume, retries with backoff,
+    timeouts and quarantine; a shard that exhausts its retries ends
+    the run with :class:`ShardFailure`, whose ``__context__`` is the
+    last error.  ``encode``/``decode`` convert a shard result to/from
+    its JSON checkpoint payload and must round-trip bit-identically
+    (that is what makes resume exact).  Raises ``ValueError`` for
+    ``workers < 1``.
     """
+    from repro.faultsim.parallel import validate_workers
+
     return _ResilientRun(
         shard_fn,
         shard_args,
-        workers,
+        validate_workers(workers),
         fingerprint,
-        policy,
+        policy or current_policy() or RuntimePolicy(),
         encode,
         decode,
         on_shard_done,

@@ -218,11 +218,14 @@ class TestRuntimeFlags:
         ):
             assert build_parser().parse_args(argv).checkpoint == "ck"
 
-    def test_runtime_flags_default_to_legacy_path(self):
+    def test_runtime_flags_default_to_executor_defaults(self):
+        # No flags still yields a policy: the executor always runs and
+        # the flags only tune it.
         from repro.cli import _build_runtime_policy
+        from repro.runtime import RuntimePolicy
 
         args = build_parser().parse_args(["reliability"])
-        assert _build_runtime_policy(args) is None
+        assert _build_runtime_policy(args) == RuntimePolicy()
 
     def test_checkpoint_resume_output_identical(self, tmp_path, capsys):
         assert main(RELIABILITY_ARGS) == EXIT_OK

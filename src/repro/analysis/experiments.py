@@ -175,7 +175,6 @@ def _reliability_config(
     seed: int,
     scaling_rate: float = 0.0,
     triple: bool = False,
-    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> MonteCarloConfig:
     if triple:
@@ -186,7 +185,6 @@ def _reliability_config(
         num_systems=n,
         seed=seed,
         scaling_rate=scaling_rate,
-        ecc_backend=ecc_backend,
         faultsim_backend=faultsim_backend,
     )
 
@@ -194,13 +192,9 @@ def _reliability_config(
 def _run_fig1(
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
-    cfg = _reliability_config(
-        scale, seed, ecc_backend=ecc_backend,
-        faultsim_backend=faultsim_backend,
-    )
+    cfg = _reliability_config(scale, seed, faultsim_backend=faultsim_backend)
     schemes = [NonEccScheme(), EccDimmScheme(), ChipkillScheme()]
     results = [simulate(s, cfg) for s in schemes]
     ecc, chipkill = results[1], results[2]
@@ -262,12 +256,10 @@ def _run_fig7(
     scale: str = "quick",
     seed: int = 2016,
     scaling_rate: float = 0.0,
-    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     cfg = _reliability_config(
-        scale, seed, scaling_rate, ecc_backend=ecc_backend,
-        faultsim_backend=faultsim_backend,
+        scale, seed, scaling_rate, faultsim_backend=faultsim_backend
     )
     schemes = [EccDimmScheme(), XedScheme(), ChipkillScheme()]
     results = [simulate(s, cfg) for s in schemes]
@@ -297,12 +289,10 @@ def _run_fig7(
 def _run_fig8(
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     return _run_fig7(
-        scale, seed, scaling_rate=1e-4, ecc_backend=ecc_backend,
-        faultsim_backend=faultsim_backend,
+        scale, seed, scaling_rate=1e-4, faultsim_backend=faultsim_backend
     )
 
 
@@ -310,11 +300,10 @@ def _run_fig9(
     scale: str = "quick",
     seed: int = 2016,
     scaling_rate: float = 0.0,
-    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     cfg = _reliability_config(
-        scale, seed, scaling_rate, triple=True, ecc_backend=ecc_backend,
+        scale, seed, scaling_rate, triple=True,
         faultsim_backend=faultsim_backend,
     )
     schemes = [ChipkillScheme(), DoubleChipkillScheme(), XedChipkillScheme()]
@@ -346,12 +335,10 @@ def _run_fig9(
 def _run_fig10(
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     return _run_fig9(
-        scale, seed, scaling_rate=1e-4, ecc_backend=ecc_backend,
-        faultsim_backend=faultsim_backend,
+        scale, seed, scaling_rate=1e-4, faultsim_backend=faultsim_backend
     )
 
 
@@ -368,7 +355,7 @@ _GRID_CACHE: Dict[tuple, Dict] = {}
 
 
 def _perf_grid(
-    scale: str, seed: int, scheme_keys, perfsim_backend: str = "scalar"
+    scale: str, seed: int, scheme_keys, perfsim_backend: str = "pipeline"
 ) -> Dict:
     key = (scale, seed, tuple(scheme_keys))
     if key in _GRID_CACHE:
@@ -392,7 +379,7 @@ _FIG11_SCHEMES = ("ecc_dimm", "xed", "chipkill", "xed_chipkill", "double_chipkil
 
 
 def _run_fig11(
-    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "scalar"
+    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "pipeline"
 ) -> ExperimentReport:
     grid = _perf_grid(scale, seed, _FIG11_SCHEMES, perfsim_backend)
     keys = [k for k in _FIG11_SCHEMES if k != "ecc_dimm"]
@@ -408,7 +395,7 @@ def _run_fig11(
 
 
 def _run_fig12(
-    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "scalar"
+    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "pipeline"
 ) -> ExperimentReport:
     grid = _perf_grid(scale, seed, _FIG11_SCHEMES, perfsim_backend)
     keys = [k for k in _FIG11_SCHEMES if k != "ecc_dimm"]
@@ -438,7 +425,7 @@ _FIG13_SCHEMES = (
 
 
 def _run_fig13(
-    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "scalar"
+    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "pipeline"
 ) -> ExperimentReport:
     grid = _perf_grid(scale, seed, _FIG13_SCHEMES, perfsim_backend)
     keys = [k for k in _FIG13_SCHEMES if k != "ecc_dimm"]
@@ -462,7 +449,7 @@ def _run_fig13(
 
 
 def _run_fig14(
-    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "scalar"
+    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "pipeline"
 ) -> ExperimentReport:
     grid = _perf_grid(scale, seed, ("ecc_dimm", "xed", "lotecc"), perfsim_backend)
     lot = normalized_metric(grid, "lotecc")
@@ -548,20 +535,21 @@ def run_experiment(
     seed: int = 2016,
     ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
-    perfsim_backend: str = "scalar",
+    perfsim_backend: str = "pipeline",
 ) -> ExperimentReport:
     """Regenerate one of the paper's tables/figures by id.
 
-    ``ecc_backend`` selects the codec backend for experiments that
-    evaluate ECC codes (Table II's detection sweep, and the reliability
-    figures whose ECC-DIMM DUE/SDC split is measured from the decoder);
+    ``ecc_backend`` selects the codec backend for Table II's detection
+    sweep, the one result that evaluates ECC codes per run (the
+    ECC-DIMM DUE/SDC split of the reliability figures is identical
+    under both codecs, so it is not a knob);
     ``faultsim_backend`` selects the Monte-Carlo adjudication backend
     for the reliability figures (both backends are bit-identical, so
     this only changes the runtime; vectorized is the default and is
     what makes the full-scale populations affordable);
     ``perfsim_backend`` selects the performance-simulator engine for
-    Figures 11-14 (``scalar`` golden walk or the bit-identical
-    event-driven ``pipeline``, certified by
+    Figures 11-14 (the event-driven ``pipeline``, the default, or the
+    bit-identical ``scalar`` golden walk, certified by
     :mod:`repro.perfsim.differential`).  Experiments with no such
     involvement ignore the respective knob.
     """
@@ -597,7 +585,7 @@ def reproduce_all(
     experiment_ids: Optional[List[str]] = None,
     ecc_backend: str = "batched",
     faultsim_backend: str = "vectorized",
-    perfsim_backend: str = "scalar",
+    perfsim_backend: str = "pipeline",
 ) -> Dict[str, ExperimentReport]:
     """Regenerate every table and figure (or a chosen subset), in the
     paper's order.  The whole-evaluation equivalent of the benchmark

@@ -107,16 +107,17 @@ def _positive_int(value: str) -> int:
 
 
 def _add_ecc_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach ``--ecc-backend`` to sub-commands that evaluate ECC codes.
+    """Attach ``--ecc-backend`` to sub-commands that can regenerate Table II.
 
-    ``batched`` (the default) routes codec work through the numpy
-    bit-matrix kernels of :mod:`repro.ecc.batched` (>= 10x faster on
-    the Table II sweep); ``scalar`` is the per-word golden model.  The
-    two are verified bit-identical by :mod:`repro.ecc.differential`.
+    ``batched`` (the default) routes Table II's detection sweep through
+    the numpy bit-matrix kernels of :mod:`repro.ecc.batched` (>= 10x
+    faster); ``scalar`` is the per-word golden model.  The two are
+    verified bit-identical by :mod:`repro.ecc.differential`.  No other
+    result depends on the codec, so Monte-Carlo commands lack the flag.
     """
     parser.add_argument(
         "--ecc-backend", choices=("scalar", "batched"), default="batched",
-        help="ECC codec backend: numpy bit-matrix kernels (batched, "
+        help="ECC codec for Table II: numpy bit-matrix kernels (batched, "
              "default) or per-word golden model (scalar)",
     )
 
@@ -401,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument("--scaling-rate", type=float, default=0.0)
     rel.add_argument("--scrub-hours", type=float, default=None)
     rel.add_argument("--seed", type=int, default=2016)
-    _add_ecc_backend_flag(rel)
     _add_faultsim_backend_flag(rel)
     _add_parallel_flags(rel)
     _add_runtime_flags(rel)
@@ -481,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mechanisms", action="store_true",
         help="also print the per-cell failure-mechanism decomposition",
     )
-    _add_ecc_backend_flag(swp)
 
     camp = add_parser("campaign", help="behavioural fault campaign")
     camp.add_argument("--kind", choices=("xed", "chipkill"), default="xed")
@@ -514,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
              "chosen; must match the single-machine run you want to "
              "reproduce bit-identically)",
     )
-    _add_ecc_backend_flag(coord)
     _add_faultsim_backend_flag(coord)
     group = coord.add_argument_group("coordination")
     group.add_argument(
@@ -637,7 +635,6 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
         seed=args.seed,
         scaling_rate=args.scaling_rate,
         scrub_hours=args.scrub_hours,
-        ecc_backend=args.ecc_backend,
         faultsim_backend=args.faultsim_backend,
     )
     results = []
@@ -669,7 +666,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = faultsim.MonteCarloConfig(
         years=args.years,
         scaling_rate=args.scaling_rate,
-        ecc_backend=args.ecc_backend,
         faultsim_backend="analytical",
     )
     schemes = [
@@ -863,7 +859,6 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
         years=args.years,
         scaling_rate=args.scaling_rate,
         scrub_hours=args.scrub_hours,
-        ecc_backend=args.ecc_backend,
         faultsim_backend=args.faultsim_backend,
     )
     host, port = args.bind

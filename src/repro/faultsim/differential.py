@@ -159,7 +159,6 @@ def replay_shard(
     :class:`DifferentialMismatch` on any divergence.
     """
     config = config or MonteCarloConfig()
-    scheme.bind_ecc_backend(config.ecc_backend)
     if num_systems is None:
         num_systems = config.num_systems
     seed_seq = np.random.SeedSequence(config.seed)

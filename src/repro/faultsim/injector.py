@@ -53,10 +53,6 @@ class FaultSampler:
         accumulate-over-lifetime assumption.
     device_width:
         x8 or x4; sets the lane width a column failure breaks.
-    ecc_backend:
-        "scalar" or "batched"; which codec backend evaluates any
-        measured ECC behaviour this sampler is asked for (see
-        :meth:`secded_lane_profile`).
     """
 
     def __init__(
@@ -68,16 +64,11 @@ class FaultSampler:
         scrub_hours: Optional[float] = None,
         device_width: int = 8,
         chip_geometry: Optional[ChipGeometry] = None,
-        ecc_backend: str = "scalar",
     ) -> None:
-        from repro.ecc.batched import validate_backend
-
-        validate_backend(ecc_backend)
         self.scheme = scheme
         self.fit = fit
         self.hours = hours
         self.scrub_hours = scrub_hours
-        self.ecc_backend = ecc_backend
         geometry = chip_geometry or ChipGeometry(device_width=device_width)
         self.space = FaultSpace.for_chip(geometry)
         self.geometry = geometry
@@ -104,27 +95,6 @@ class FaultSampler:
         )
         self._row_correctable = np.array(
             [mode.on_die_correctable for mode, _ in self._modes], dtype=bool
-        )
-
-    def secded_lane_profile(self, samples: int = 20000, seed: int = 2016):
-        """Decode-outcome profile of chip-lane errors at the DIMM code.
-
-        Measures how multi-bit errors confined to this sampler's device
-        lane width fare through the (72,64) Hamming SECDED decoder,
-        using whichever codec backend the sampler was constructed with.
-        The profile is backend-invariant (both backends classify the
-        identical sample set) -- the backend only changes how fast it is
-        measured.
-        """
-        from repro.ecc.hamming import HammingSECDED
-        from repro.ecc.miscorrection import measure_lane_error_profile
-
-        return measure_lane_error_profile(
-            HammingSECDED(),
-            lane_bits=self.geometry.device_width,
-            samples=samples,
-            seed=seed,
-            backend=self.ecc_backend,
         )
 
     @property

@@ -784,7 +784,6 @@ def solve(
 
     if config is None:
         config = MonteCarloConfig()
-    scheme.bind_ecc_backend(config.ecc_backend)
     space = FaultSpace.for_chip(ChipGeometry(device_width=config.device_width))
     promotion_p = (
         ScalingFaultModel(

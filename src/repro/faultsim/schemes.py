@@ -109,20 +109,6 @@ class ProtectionScheme:
         """Return the earliest failure, or None if the system survives."""
         raise NotImplementedError
 
-    def bind_ecc_backend(self, backend: str) -> None:
-        """Select the ECC codec backend for any measured code parameters.
-
-        Most schemes use closed-form failure rules and ignore this; the
-        Monte-Carlo driver calls it on every scheme so backend selection
-        (``--ecc-backend``) reaches the ones -- like
-        :class:`EccDimmScheme` -- whose DUE/SDC split is *measured* from
-        the actual decoders.  The base implementation only validates the
-        name.
-        """
-        from repro.ecc.batched import validate_backend
-
-        validate_backend(backend)
-
     # -- shared helpers -----------------------------------------------------
 
     @staticmethod
@@ -184,10 +170,10 @@ class EccDimmScheme(ProtectionScheme):
     (SDC).  By default the DUE/SDC split is *measured* from the actual
     (72,64) Hamming decoder against chip-lane error patterns
     (:func:`repro.ecc.miscorrection.hamming_chip_error_sdc_fraction`,
-    ~44% SDC); pass ``sdc_fraction`` to override.  The measurement runs
-    in :meth:`bind_ecc_backend`, which the Monte-Carlo driver calls
-    before shard fan-out, so pickled copies sent to pool workers carry
-    the resolved value; an unbound scheme measures on first access.
+    ~44% SDC, identical under both codecs, so the batched one measures
+    it); pass ``sdc_fraction`` to override.  The measurement runs on
+    first access, or when the scheme is pickled, so copies sent to pool
+    workers carry the resolved value and never re-measure.
     """
 
     name = "ECC-DIMM (SECDED)"
@@ -195,38 +181,25 @@ class EccDimmScheme(ProtectionScheme):
     check_chips = 1
     min_faults = 1
 
-    def __init__(
-        self,
-        sdc_fraction: Optional[float] = None,
-        ecc_backend: str = "scalar",
-    ) -> None:
-        self._explicit_fraction = sdc_fraction is not None
+    def __init__(self, sdc_fraction: Optional[float] = None) -> None:
         self._sdc_fraction = sdc_fraction
-        self._ecc_backend = ecc_backend
 
     @property
     def sdc_fraction(self) -> float:
         """Share of visible-fault failures that are SDC rather than DUE."""
         if self._sdc_fraction is None:
-            self._sdc_fraction = self._measure_sdc_fraction(self._ecc_backend)
+            from repro.ecc.miscorrection import (
+                hamming_chip_error_sdc_fraction,
+            )
+
+            self._sdc_fraction = hamming_chip_error_sdc_fraction(
+                backend="batched"
+            )
         return self._sdc_fraction
 
-    @staticmethod
-    def _measure_sdc_fraction(backend: str) -> float:
-        from repro.ecc.miscorrection import hamming_chip_error_sdc_fraction
-
-        return hamming_chip_error_sdc_fraction(backend=backend)
-
-    def bind_ecc_backend(self, backend: str) -> None:
-        """Measure the DUE/SDC split through the selected backend.
-
-        An explicitly supplied ``sdc_fraction`` is an override and is
-        left untouched (both backends measure the identical sample set
-        anyway, so this only changes *which codec* does the measuring).
-        """
-        super().bind_ecc_backend(backend)
-        if not self._explicit_fraction:
-            self._sdc_fraction = self._measure_sdc_fraction(backend)
+    def __getstate__(self) -> dict:
+        """Resolve the split before pickling, so workers never measure."""
+        return {**self.__dict__, "_sdc_fraction": self.sdc_fraction}
 
     def evaluate(self, faults, rng):
         """SECDED corrects 1-bit damage; wider damage is DUE/SDC."""

@@ -71,9 +71,6 @@ class MonteCarloConfig:
     scaling_rate: float = 0.0
     scrub_hours: Optional[float] = None
     device_width: int = 8
-    #: Which ECC codec backend evaluates measured code parameters
-    #: (e.g. the ECC-DIMM DUE/SDC split): "scalar" or "batched".
-    ecc_backend: str = "scalar"
     #: Which lifetime-adjudication backend classifies sample systems:
     #: "scalar" walks ChipFault lists through ``scheme.evaluate`` (the
     #: golden model), "vectorized" runs the batch kernels of
@@ -327,7 +324,6 @@ def _simulate_shard(
         scaling_rate=config.scaling_rate,
         scrub_hours=config.scrub_hours,
         device_width=config.device_width,
-        ecc_backend=config.ecc_backend,
     )
     rng = np.random.default_rng(seed_seq)
     failure_times: List[float] = []
@@ -392,9 +388,9 @@ def reliability_fingerprint(
     """Run-identity fingerprint of one reliability simulation.
 
     Everything that can change a shard's contents goes into the config
-    hash -- the scheme, the FIT table, scaling, scrubbing, device
-    geometry and the codec backend -- so a checkpoint can never be
-    silently resumed into a different experiment.
+    hash -- the scheme, the FIT table, scaling, scrubbing and device
+    geometry -- so a checkpoint can never be silently resumed into a
+    different experiment.
 
     ``faultsim_backend`` is deliberately *excluded*: the scalar and
     vectorized backends produce bit-identical shard payloads (enforced
@@ -408,7 +404,6 @@ def reliability_fingerprint(
         "scaling_rate": config.scaling_rate,
         "scrub_hours": config.scrub_hours,
         "device_width": config.device_width,
-        "ecc_backend": config.ecc_backend,
         "fit": [
             [mode.value, rate.transient, rate.permanent]
             for mode, rate in sorted(
@@ -471,8 +466,6 @@ def simulate(
         return solve(scheme, config)
     if config.faultsim_backend == "vectorized":
         kernel_for(scheme)  # a bad scheme fails here, not once per retry
-    # Bind before shard fan-out so workers receive the bound scheme.
-    scheme.bind_ecc_backend(config.ecc_backend)
     shard_size = resolve_shard_size(
         config.num_systems,
         shard_size if shard_size is not None else batch_systems,
@@ -536,9 +529,6 @@ def simulate(
         OBS.registry.counter("faultsim.systems").inc(config.num_systems)
         OBS.registry.counter("faultsim.shards").inc(len(shards))
         OBS.registry.counter(
-            f"faultsim.ecc_backend.{config.ecc_backend}"
-        ).inc()
-        OBS.registry.counter(
             f"faultsim.backend.{config.faultsim_backend}"
         ).inc()
         if elapsed > 0:
@@ -591,7 +581,6 @@ def simulate_shard_range(
             "simulate_shard_range requires a sampling backend; the "
             "analytical solver has no shards to lease"
         )
-    scheme.bind_ecc_backend(config.ecc_backend)
     shard_size = resolve_shard_size(
         config.num_systems, shard_size, DEFAULT_SHARD_SIZE
     )

@@ -133,7 +133,6 @@ class JobSpec:
     scaling_rate: float = 0.0
     scrub_hours: Optional[float] = None
     device_width: int = 8
-    ecc_backend: str = "scalar"
     faultsim_backend: str = "vectorized"
 
     def to_dict(self) -> Dict[str, object]:
@@ -147,7 +146,6 @@ class JobSpec:
             "scaling_rate": self.scaling_rate,
             "scrub_hours": self.scrub_hours,
             "device_width": self.device_width,
-            "ecc_backend": self.ecc_backend,
             "faultsim_backend": self.faultsim_backend,
         }
 
@@ -166,7 +164,6 @@ class JobSpec:
                 else float(data["scrub_hours"])
             ),
             device_width=int(data["device_width"]),
-            ecc_backend=str(data["ecc_backend"]),
             faultsim_backend=str(data["faultsim_backend"]),
         )
 
@@ -194,7 +191,6 @@ class JobSpec:
             scaling_rate=self.scaling_rate,
             scrub_hours=self.scrub_hours,
             device_width=self.device_width,
-            ecc_backend=self.ecc_backend,
             faultsim_backend=self.faultsim_backend,
         )
         return scheme, config

@@ -63,7 +63,6 @@ _ALLOWED_KEYS = {
     "scrub_hours",
     "seed",
     "shard_size",
-    "ecc_backend",
     "faultsim_backend",
     "workers",
     "chaos",
@@ -89,7 +88,6 @@ class ExperimentSpec:
     scrub_hours: Optional[float] = None
     seed: int = 2016
     shard_size: int = 25_000
-    ecc_backend: str = "scalar"
     faultsim_backend: str = "vectorized"
     workers: int = 1
     chaos: Optional[str] = None
@@ -146,12 +144,6 @@ class ExperimentSpec:
             raise ServiceSpecError("spec.workers must be >= 1")
         if scrub_hours is not None and scrub_hours <= 0:
             raise ServiceSpecError("spec.scrub_hours must be > 0 or null")
-        ecc_backend = str(data.get("ecc_backend", "scalar"))
-        if ecc_backend not in ("scalar", "batched"):
-            raise ServiceSpecError(
-                f"unknown ecc_backend {ecc_backend!r} "
-                "(expected scalar or batched)"
-            )
         faultsim_backend = str(data.get("faultsim_backend", "vectorized"))
         if faultsim_backend == "analytical":
             raise ServiceSpecError(
@@ -186,7 +178,6 @@ class ExperimentSpec:
             scrub_hours=scrub_hours,
             seed=seed,
             shard_size=resolved,
-            ecc_backend=ecc_backend,
             faultsim_backend=faultsim_backend,
             workers=workers,
             chaos=chaos,
@@ -202,7 +193,6 @@ class ExperimentSpec:
             "scrub_hours": self.scrub_hours,
             "seed": self.seed,
             "shard_size": self.shard_size,
-            "ecc_backend": self.ecc_backend,
             "faultsim_backend": self.faultsim_backend,
             "workers": self.workers,
             "chaos": self.chaos,
@@ -227,7 +217,6 @@ class ExperimentSpec:
                 seed=self.seed,
                 scaling_rate=self.scaling_rate,
                 scrub_hours=self.scrub_hours,
-                ecc_backend=self.ecc_backend,
                 faultsim_backend=self.faultsim_backend,
             )
             runs.append((scheme, config))

@@ -275,9 +275,9 @@ class TestEccBackendFlag:
                 ["experiment", "table2", "--ecc-backend", "simd"]
             )
 
-    def test_flag_present_on_reliability_all_export(self):
+    def test_flag_present_on_experiment_all_export(self):
         for argv in (
-            ["reliability", "--ecc-backend", "batched"],
+            ["experiment", "table2", "--ecc-backend", "batched"],
             ["all", "--ecc-backend", "batched"],
             ["export", "table2", "--ecc-backend", "batched"],
         ):
@@ -290,10 +290,11 @@ class TestEccBackendFlag:
         out = capsys.readouterr().out
         assert "Detection-rate" in out
 
-    def test_reliability_batched_matches_scalar(self, capsys):
-        argv = ["reliability", "--schemes", "ecc_dimm", "--systems", "20000"]
-        assert main(argv) == 0
-        scalar_out = capsys.readouterr().out
-        assert main(argv + ["--ecc-backend", "batched"]) == 0
-        batched_out = capsys.readouterr().out
-        assert scalar_out == batched_out
+    def test_flag_absent_on_reliability_sweep_coordinate(self, capsys):
+        """The codec changes no Monte-Carlo bit, so these lack the flag."""
+        for argv in (["reliability"], ["sweep"], ["coordinate"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--ecc-backend", "batched"])
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--help"])
+            assert "--ecc-backend" not in capsys.readouterr().out

@@ -233,6 +233,14 @@ class TestJobSpec:
         )
         assert JobSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
+    def test_wire_dict_carries_no_ecc_codec(self):
+        # The ECC codec changes no Monte-Carlo bit, so the job never
+        # names one and coordinator/worker fingerprints ignore it.
+        spec = JobSpec(scheme="ecc_dimm", num_systems=1_000, shard_size=500)
+        wire = spec.to_dict()
+        assert not any("ecc" in key for key in wire)
+        assert JobSpec.from_dict(wire) == spec
+
     def test_unknown_scheme_is_rejected(self):
         spec = JobSpec(scheme="rot13", num_systems=100, shard_size=50)
         with pytest.raises(ValueError, match="unknown scheme"):

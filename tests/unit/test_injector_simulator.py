@@ -223,38 +223,3 @@ class TestKindCountCaching:
         b = ReliabilityResult("x", 100, 7, [1.0], [FailureKind.DUE])
         assert a.due_count == 1  # prime only one cache
         assert a == b
-
-
-class TestEccBackendConfig:
-    def test_config_default_backend(self):
-        assert MonteCarloConfig().ecc_backend == "scalar"
-
-    def test_sampler_validates_backend(self):
-        with pytest.raises(ValueError):
-            FaultSampler(
-                XedScheme(), FitTable(), HOURS, ecc_backend="turbo"
-            )
-
-    def test_sampler_lane_profile_backend_invariant(self):
-        scalar = make_sampler(EccDimmScheme()).secded_lane_profile(
-            samples=2000
-        )
-        batched = FaultSampler(
-            EccDimmScheme(), FitTable(), HOURS, ecc_backend="batched"
-        ).secded_lane_profile(samples=2000)
-        assert scalar == batched
-
-    def test_simulate_results_backend_invariant(self):
-        cfg_s = MonteCarloConfig(num_systems=30000, ecc_backend="scalar")
-        cfg_b = MonteCarloConfig(num_systems=30000, ecc_backend="batched")
-        rs = simulate(EccDimmScheme(), cfg_s)
-        rb = simulate(EccDimmScheme(), cfg_b)
-        assert rs.failure_times_hours == rb.failure_times_hours
-        assert rs.kinds == rb.kinds
-
-    def test_simulate_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            simulate(
-                EccDimmScheme(),
-                MonteCarloConfig(num_systems=100, ecc_backend="simd"),
-            )

@@ -79,19 +79,29 @@ class TestSchemeIntegration:
         EccDimmScheme()
         assert measure_calls == []
 
-    def test_bind_measures_through_selected_backend(self, measure_calls):
-        EccDimmScheme().bind_ecc_backend("batched")
+    def test_first_access_measures_once_through_batched(self, measure_calls):
+        scheme = EccDimmScheme()
+        assert scheme.sdc_fraction == scheme.sdc_fraction
         assert measure_calls == ["batched"]
 
     def test_pickled_bound_scheme_carries_fraction(self, measure_calls):
-        """Pool workers get a resolved fraction and never re-measure."""
-        scheme = EccDimmScheme()
-        scheme.bind_ecc_backend("batched")
-        payload = pickle.dumps(scheme)
+        """Pool workers get a resolved fraction and never re-measure.
+
+        The scheme is pickled before anything read its split, as the
+        Monte-Carlo driver does when it ships a fresh scheme to a pool.
+        """
+        payload = pickle.dumps(EccDimmScheme())
+        assert measure_calls == ["batched"]
         hamming_chip_error_sdc_fraction.cache_clear()
-        measure_calls.clear()
         restored = pickle.loads(payload)
-        assert restored.sdc_fraction == scheme.sdc_fraction
+        assert restored.sdc_fraction == pytest.approx(0.44275, abs=1e-12)
+        assert measure_calls == ["batched"]
+        # ...and the batched value is the scalar oracle's, bit for bit.
+        assert restored.sdc_fraction == hamming_chip_error_sdc_fraction()
+
+    def test_pickled_override_never_measures(self, measure_calls):
+        restored = pickle.loads(pickle.dumps(EccDimmScheme(sdc_fraction=0.25)))
+        assert restored.sdc_fraction == 0.25
         assert measure_calls == []
 
 
@@ -125,14 +135,3 @@ class TestBackendEquality:
             measure_lane_error_profile(
                 HammingSECDED(), samples=100, backend="turbo"
             )
-
-    def test_scheme_bind_backend_keeps_measured_fraction(self):
-        scheme = EccDimmScheme()
-        before = scheme.sdc_fraction
-        scheme.bind_ecc_backend("batched")
-        assert scheme.sdc_fraction == before
-
-    def test_scheme_bind_backend_keeps_override(self):
-        scheme = EccDimmScheme(sdc_fraction=0.25)
-        scheme.bind_ecc_backend("batched")
-        assert scheme.sdc_fraction == 0.25

@@ -168,6 +168,11 @@ class TestSpecValidation:
         with pytest.raises(ServiceSpecError, match="scrub_hourss"):
             ExperimentSpec.from_dict({**SPEC, "scrub_hourss": 6})
 
+    def test_ecc_backend_key_rejected(self):
+        # The codec changes no reliability bit, so it is not a spec key.
+        with pytest.raises(ServiceSpecError, match="unknown spec key"):
+            ExperimentSpec.from_dict({**SPEC, "ecc_backend": "scalar"})
+
     def test_empty_schemes_rejected(self):
         with pytest.raises(ServiceSpecError, match="non-empty"):
             ExperimentSpec.from_dict({"schemes": []})

@@ -30,9 +30,13 @@ from repro.obs.events import read_jsonl
 @pytest.fixture(autouse=True)
 def _clean_obs():
     was_enabled = OBS.enabled
+    # Some tests swap in a small ring; OBS.reset() keeps whatever ring is
+    # installed, so put the original back for the tests that follow.
+    trace = OBS.trace
     yield
     OBS.enabled = was_enabled
     OBS.progress_enabled = False
+    OBS.trace = trace
     OBS.reset()
 
 

@@ -24,10 +24,14 @@ in-process or on the ``multiprocessing`` pool configured here:
   first) and merges results in plan order; workers may finish out of
   order, or retry, without affecting the merged result.
 
-The pool pays one process spawn per worker plus one pickle round-trip
-per shard, so shards should be thousands of systems each (see
-``DEFAULT_SHARD_SIZE`` in :mod:`repro.faultsim.simulator`); with the
-default sizes the overhead is well under a percent of shard runtime.
+The pool costs one pickle round-trip per shard, so shards should be
+thousands of systems each (see ``DEFAULT_SHARD_SIZE`` in
+:mod:`repro.faultsim.simulator`).  Starting it costs far more: each
+``spawn`` worker is a fresh interpreter that imports numpy and
+``repro``, about half a second before the first shard runs on a 2-CPU
+host -- as long as a whole 100,000-system XED call in-process.  The
+executor therefore keeps its pool warm and reuses it across calls in
+one process, so only the first pooled call pays the spawn.
 """
 
 from __future__ import annotations
@@ -48,11 +52,14 @@ __all__ = [
 def pool_context() -> multiprocessing.context.BaseContext:
     """The multiprocessing context used for every worker pool.
 
-    Workers always use the ``spawn`` start method: a spawned worker is
-    a fresh interpreter, so its :data:`repro.obs.OBS` reset/merge
-    semantics (and everything else about shard execution) are identical
-    on Linux, macOS and Windows, instead of silently depending on the
-    platform's default (``fork`` forks the parent's live OBS state).
+    Workers always use the ``spawn`` start method, so shard execution
+    is the same on Linux, macOS and Windows instead of silently
+    depending on the platform's default (``fork`` forks the parent's
+    live OBS state).  Workers are reused across runs in one process
+    (the executor's warm pool), so one interpreter runs shards from
+    many runs; the :data:`repro.obs.OBS` reset/merge semantics hold
+    because ``_resilient_worker`` resets OBS and ``_run_shard_captured``
+    installs a fresh registry and trace for every shard.
     Determinism of *results* never depended on the start method -- all
     shard randomness is derived from the plan -- but telemetry and
     crash behaviour did.  Should an exotic platform lack ``spawn``

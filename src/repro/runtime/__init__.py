@@ -10,7 +10,8 @@ progress.  This package wraps them in a hardened execution layer --
   shards it finished.
 * :mod:`repro.runtime.executor` -- :func:`run_resilient`, the one
   shard executor every engine runs on (retrying, timeout-enforcing,
-  signal-draining), plus the ambient
+  signal-draining) with its warm worker pool (:func:`close_pools`
+  shuts it down), plus the ambient
   :class:`RuntimePolicy` the CLI installs via :func:`use_policy`.
 * :mod:`repro.runtime.chaos` -- deterministic failure injection
   (worker crashes, hangs, checkpoint corruption, and protocol-layer
@@ -69,6 +70,7 @@ from repro.runtime.executor import (
     RunOutcome,
     RuntimePolicy,
     ShardFailure,
+    close_pools,
     current_policy,
     run_resilient,
     use_policy,
@@ -101,6 +103,7 @@ __all__ = [
     "ShardLease",
     "ShardRecord",
     "WorkerSummary",
+    "close_pools",
     "config_digest",
     "corrupt_checkpoint_tail",
     "current_policy",

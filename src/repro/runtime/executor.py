@@ -29,6 +29,13 @@ multi-hour campaign in practice --
   replays completed shards from disk and re-executes exactly the
   missing ones, so the merged result is bit-identical to an
   uninterrupted run.
+* **Warm pool**: a process keeps one idle pool per worker count and
+  the next run with that count reuses it, so the ``spawn`` and import
+  cost is paid once per process, not once per run.  A pool is parked
+  only after a run ends with nothing in flight; the crash, hang and
+  drain paths above terminate it, and a pool whose workers died while
+  idle is discarded before use.  :func:`close_pools` shuts idle pools
+  down.
 
 Because shard outcomes depend only on the plan (never on scheduling,
 retries, or which attempt finally succeeded), every recovery path
@@ -67,6 +74,7 @@ __all__ = [
     "RunOutcome",
     "ShardFailure",
     "RunInterrupted",
+    "close_pools",
     "run_resilient",
     "use_policy",
     "current_policy",
@@ -346,6 +354,69 @@ def _terminate_executor(executor: ProcessPoolExecutor) -> None:
             proc.join(timeout=1.0)
 
 
+# ---------------------------------------------------------------------------
+# The warm pool
+# ---------------------------------------------------------------------------
+
+#: Idle worker pools by worker count.  A run checks its pool out (so
+#: two concurrent runs never share in-flight work) and checks it back
+#: in only when it ends with no shard in flight.
+_IDLE_POOLS: Dict[int, ProcessPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _checkout_pool(workers: int, processes: int) -> ProcessPoolExecutor:
+    """The idle pool for ``workers``, or a new one.
+
+    An idle pool is reused only when it is unbroken and already holds
+    ``processes`` (the run's in-flight limit) live workers.  One that
+    broke or lost a worker while idle is discarded here, before any
+    shard is submitted to it, so no shard is charged for it.  A
+    narrower one is discarded too, so a reused pool never spawns a
+    worker mid-run: a warm worker can crash within milliseconds, and
+    spawning while CPython tears the broken pool down fails with a
+    ``ValueError`` instead of ``BrokenProcessPool``.
+    """
+    from repro.faultsim.parallel import pool_context
+
+    with _POOLS_LOCK:
+        executor = _IDLE_POOLS.pop(workers, None)
+    if executor is not None:
+        alive = [proc.is_alive() for proc in executor._processes.values()]
+        if not executor._broken and len(alive) >= processes and all(alive):
+            if OBS.enabled:
+                OBS.registry.counter("runtime.pool_reuses").inc()
+            return executor
+        _terminate_executor(executor)
+    if OBS.enabled:
+        OBS.registry.counter("runtime.pool_starts").inc()
+    return ProcessPoolExecutor(max_workers=workers, mp_context=pool_context())
+
+
+def _checkin_pool(workers: int, executor: ProcessPoolExecutor) -> None:
+    """Park an idle pool for the next run; a concurrent run's spare is shut."""
+    with _POOLS_LOCK:
+        if workers not in _IDLE_POOLS:
+            _IDLE_POOLS[workers] = executor
+            return
+    executor.shutdown(wait=True)
+
+
+def close_pools() -> None:
+    """Shut down every idle warm pool and wait for its workers to exit.
+
+    A pool checked out by a running run is not touched; it is torn
+    down or parked when that run ends.  Long-lived callers (the
+    campaign service) call this on their exit path; at interpreter
+    exit ``concurrent.futures`` would shut idle pools down anyway.
+    """
+    with _POOLS_LOCK:
+        pools = list(_IDLE_POOLS.values())
+        _IDLE_POOLS.clear()
+    for executor in pools:
+        executor.shutdown(wait=True)
+
+
 class _SignalGuard:
     """Installs drain-and-flush SIGINT/SIGTERM handlers around a run.
 
@@ -549,9 +620,6 @@ class _ResilientRun:
     # -- pool execution (workers > 1) ---------------------------------------
 
     def _run_pool(self) -> None:
-        from repro.faultsim.parallel import pool_context
-
-        context = pool_context()
         processes = min(self.workers, max(1, self.book.pending_count))
         inflight: Dict[Any, ShardLease] = {}
         executor: Optional[ProcessPoolExecutor] = None
@@ -580,9 +648,7 @@ class _ResilientRun:
                         break
                     lease, index, attempt = granted
                     if executor is None:
-                        executor = ProcessPoolExecutor(
-                            max_workers=processes, mp_context=context
-                        )
+                        executor = _checkout_pool(self.workers, processes)
                     try:
                         future = executor.submit(
                             _resilient_worker,
@@ -644,6 +710,13 @@ class _ResilientRun:
                             del inflight[future]
                             self._fail(lease.shards[0], "timeout")
                     kill_pool()
+            if executor is not None and not inflight:
+                # The run ended normally and the pool is idle, so the
+                # next run may reuse it instead of paying the spawn
+                # again.  A run that aborts (a ShardFailure or any other
+                # exception) never gets here: its pool is terminated.
+                _checkin_pool(self.workers, executor)
+                executor = None
         finally:
             kill_pool()
 

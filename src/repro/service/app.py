@@ -104,18 +104,24 @@ class CampaignService:
             self._thread.start()
 
     def shutdown(self, timeout: Optional[float] = 5.0) -> None:
-        """Stop accepting work and wait briefly for the executor.
+        """Stop accepting work, wait briefly for the executor, close the pool.
 
         A job still running after ``timeout`` is abandoned to the
         daemon thread; its fingerprint-keyed checkpoints survive, so
         resubmitting the same spec after a restart resumes from the
-        completed shards rather than starting over.
+        completed shards rather than starting over.  The idle warm
+        worker pool the jobs shared is shut down; a pool an abandoned
+        job still holds goes when that job ends or the interpreter
+        exits.
         """
+        from repro.runtime import close_pools
+
         with self._lock:
             self._draining = True
         self.store.close()
         if self._thread.is_alive():
             self._thread.join(timeout=timeout)
+        close_pools()
 
     @property
     def ready(self) -> bool:
